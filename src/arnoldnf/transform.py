@@ -9,6 +9,7 @@ transformation keeps the germ right equivalent to the input.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import PipelineError
@@ -19,7 +20,6 @@ from .poly import (
     diff,
     drop_above,
     mul_trunc,
-    poly_order,
     substitute,
     term_sort_key,
     weight_value,
@@ -506,25 +506,9 @@ def absorb_above(f, weights, level, allowed, bound):
     # term of ordinary degree equal to the bound can simply be dropped
     cut = bound - 1
     f = drop_above(f, ordinary, cut)
-    f0 = wlayer(f, weights, level)
-    vars = f.vars
     allowed = {tuple(e) for e in allowed}
     base = wjet(f, weights, level)
-    partials = (diff(f0, 0), diff(f0, 1))
-    candidates = []
-    for var_index in (0, 1):
-        partial = partials[var_index]
-        if partial.is_zero():
-            continue
-        for u in _lattice_box(ordinary, cut):
-            if sum(u) == 0:
-                continue
-            prod = drop_above(mono_mul(partial, u, 1), ordinary, cut)
-            if prod.is_zero() or poly_order(prod, weights) <= level:
-                continue
-            low = term_sort_key(min(prod.terms, key=term_sort_key))
-            candidates.append((low, var_index, u, prod))
-    candidates.sort(key=lambda item: (item[0], item[1], item[2]))
+    table = None
     for _ in range(300):
         stray = {
             e: c
@@ -533,12 +517,16 @@ def absorb_above(f, weights, level, allowed, bound):
         }
         if not stray:
             return f
+        if table is None:
+            table = _ColumnTable(
+                wlayer(f, weights, level), weights, level, allowed, cut
+            )
         j = min(weight_value(weights, e) for e in stray)
         layer = SparsePoly.build(
-            vars,
+            f.vars,
             {e: c for e, c in stray.items() if weight_value(weights, e) == j},
         )
-        v1, v2 = _layer_shear(layer, candidates, weights, j, allowed)
+        v1, v2 = table.layer_shear(layer, j)
         if v1.is_zero() and v2.is_zero():
             raise PipelineError("tail absorption made no progress")
         f = _apply_shear(f, v1, v2, cut)
@@ -547,9 +535,11 @@ def absorb_above(f, weights, level, allowed, bound):
     raise PipelineError("tail absorption did not settle")
 
 
-def _column_safe(var_index, u, j, weights, allowed):
-    """Shears built on this column may not write interference at or
-    below the layer weight onto positions outside the kept support.
+def _column_floor(var_index, u, weights, allowed):
+    """Lowest weight at which a shear built on this column writes
+    interference onto a position outside the kept support (infinite
+    when it never does): the column is safe for layer j when j lies
+    below it.
 
     Substituting the column's monomial into a kept term walks it along
     a fixed lattice step; every landing must either stay kept (residue
@@ -558,23 +548,26 @@ def _column_safe(var_index, u, j, weights, allowed):
     step = tuple(
         c - (1 if k == var_index else 0) for k, c in enumerate(u)
     )
+    floor = math.inf
     for m in allowed:
         p = m
         for _ in range(m[var_index]):
             p = tuple(a + b for a, b in zip(p, step))
             if p in allowed:
                 break
-            if weight_value(weights, p) <= j:
-                return False
-    return True
+            floor = min(floor, weight_value(weights, p))
+    return floor
 
 
 def _apply_shear(f, v1, v2, cut):
     """Evaluate f(x - v1, y - v2) truncated at ordinary degree cut.
 
     Expands the shifted germ as a Taylor sum over scaled derivatives of
-    f against powers of the shear parts.  Both parts vanish to order at
-    least two, so each power raises the order and the sum is finite.
+    f against powers of the shear parts.  A layer shear may be linear
+    (a part can hold a multiple of x or y), so the powers need not
+    raise the order; the sum is finite because f is a polynomial and
+    each step differentiates it once more, and it stops sooner when a
+    power of a part of order two or more passes the cut.
     """
     vars = f.vars
     ordinary = as_weights((1, 1))
@@ -602,64 +595,177 @@ def _apply_shear(f, v1, v2, cut):
     return out
 
 
-def _layer_shear(layer, candidates, weights, j, allowed):
-    """Exact shear removing one weight layer of stray terms.
+class _ColumnTable:
+    """Triangular elimination of the columns behind the layer shears.
 
-    Columns are monomial multiples of the partials whose product stays
-    strictly above the principal level, eliminated triangularly by the
-    term order; the allowed monomials act as free positions, so residue
-    the ideal cannot reach flows onto them.  Returns the shear parts
-    (v1, v2) with the sign convention x -> x - v1, y -> y - v2.
+    Columns are monomial multiples u * df0/dx_k of the partials of the
+    principal part whose product, cut at ordinary degree `cut`, stays
+    strictly above the principal level.  They are planned from
+    exponents alone and sorted by their lowest term; a column enters
+    (its product is formed and reduced against the table) only when a
+    layer asks for a pivot at or above its lowest term.  Reduction only
+    raises a column's lowest term, so the pivot at e is final once
+    every column with lowest term at most e has entered: the pivots are
+    those of eliminating every safe column up front.  The allowed
+    monomials act as free pivots, so residue the ideal cannot reach
+    flows onto them.
+
+    The table carries over to the next layer.  A pivot depends only on
+    the columns entered before it, so when a column in the table is no
+    longer safe at the new layer weight (see `_column_floor`) the table
+    drops that column and every one entered after it, and the rest is
+    what eliminating the safe columns afresh would build.  One table
+    lives for one `absorb_above` call.
     """
-    vars = layer.vars
-    zero = from_rational(0)
-    pivots = {}
-    for e in sorted(allowed):
-        pivots[e] = (SparsePoly.monomial(vars, e, 1), {})
 
-    def reduce_column(col, combo):
+    def __init__(self, f0, weights, level, allowed, cut):
+        self.vars = f0.vars
+        self.weights = weights
+        self.allowed = allowed
+        self.cut = cut
+        self.partials = (diff(f0, 0), diff(f0, 1))
+        self.columns = _plan_columns(self.partials, weights, level, cut)
+        self.floors = {}
+        self.pivots = {
+            e: (SparsePoly.monomial(self.vars, e, 1), {})
+            for e in sorted(allowed)
+        }
+        # columns[:entered] have been weighed at layer weight j; kept
+        # lists the ones reduced into the table, in order, as
+        # (position, floor, the pivot it made or None)
+        self.entered = 0
+        self.kept = []
+        self.j = None
+
+    def _floor(self, var_index, u):
+        key = (var_index, u)
+        if key not in self.floors:
+            self.floors[key] = _column_floor(
+                var_index, u, self.weights, self.allowed
+            )
+        return self.floors[key]
+
+    def _rewind(self, j):
+        """Bring the table to layer weight j.  Safe columns only thin
+        out as j grows, so a column skipped before stays skipped; at a
+        lower j a skipped column may turn safe, and the table empties."""
+        if self.j is not None and j < self.j:
+            stale = 0
+            self.entered = 0
+        else:
+            stale = next(
+                (i for i, (_, floor, _) in enumerate(self.kept) if floor <= j),
+                len(self.kept),
+            )
+            if stale < len(self.kept):
+                self.entered = self.kept[stale][0]
+        for _, _, e in self.kept[stale:]:
+            if e is not None:
+                del self.pivots[e]
+        del self.kept[stale:]
+        self.j = j
+
+    def _pivot(self, e):
+        """The pivot at e, entering every column whose lowest term is
+        at most e; None when the ideal cannot reach e."""
+        key = term_sort_key(e)
+        columns = self.columns
+        ordinary = as_weights((1, 1))
+        one = from_rational(1)
+        while self.entered < len(columns) and columns[self.entered][0] <= key:
+            position = self.entered
+            _, var_index, u = columns[position]
+            self.entered += 1
+            floor = self._floor(var_index, u)
+            if floor <= self.j:
+                continue
+            prod = drop_above(
+                mono_mul(self.partials[var_index], u, 1), ordinary, self.cut
+            )
+            made = self._reduce(prod, {(var_index, u): one})
+            self.kept.append((position, floor, made))
+        return self.pivots.get(e)
+
+    def _reduce(self, col, combo):
+        """Reduce a column against the table; returns the position of
+        the pivot it becomes, or None when it reduces to zero."""
+        zero = from_rational(0)
+        pivots = self.pivots
         while not col.is_zero():
             e = min(col.terms, key=term_sort_key)
             entry = pivots.get(e)
             if entry is None:
                 pivots[e] = (col, combo)
-                return
+                return e
             base, base_combo = entry
             c = col.coeff(e) / base.coeff(e)
             col = col - mono_mul(base, (0, 0), c)
             for tag, value in base_combo.items():
                 combo[tag] = combo.get(tag, zero) - c * value
+        return None
 
-    for _, var_index, u, prod in candidates:
-        if not _column_safe(var_index, u, j, weights, allowed):
-            continue
-        reduce_column(prod, {(var_index, u): from_rational(1)})
+    def layer_shear(self, layer, j):
+        """Exact shear removing one weight layer j of stray terms.
 
-    s = layer
-    combo = {}
-    while not s.is_zero():
-        e = min(s.terms, key=term_sort_key)
-        entry = pivots.get(e)
-        if entry is None:
-            raise PipelineError(
-                f"tail term {e} is out of reach of the Jacobian ideal"
-            )
-        base, base_combo = entry
-        c = s.coeff(e) / base.coeff(e)
-        s = s - mono_mul(base, (0, 0), c)
-        for tag, value in base_combo.items():
-            combo[tag] = combo.get(tag, zero) + c * value
-    v1 = SparsePoly.zero(vars)
-    v2 = SparsePoly.zero(vars)
-    for (var_index, u), value in sorted(combo.items()):
-        if value.is_zero():
+        Returns the shear parts (v1, v2) with the sign convention
+        x -> x - v1, y -> y - v2.
+        """
+        self._rewind(j)
+        zero = from_rational(0)
+        s = layer
+        combo = {}
+        while not s.is_zero():
+            e = min(s.terms, key=term_sort_key)
+            entry = self._pivot(e)
+            if entry is None:
+                raise PipelineError(
+                    f"tail term {e} is out of reach of the Jacobian ideal"
+                )
+            base, base_combo = entry
+            c = s.coeff(e) / base.coeff(e)
+            s = s - mono_mul(base, (0, 0), c)
+            for tag, value in base_combo.items():
+                combo[tag] = combo.get(tag, zero) + c * value
+        v1 = SparsePoly.zero(self.vars)
+        v2 = SparsePoly.zero(self.vars)
+        for (var_index, u), value in sorted(combo.items()):
+            if value.is_zero():
+                continue
+            mono = SparsePoly.monomial(self.vars, u, value)
+            if var_index == 0:
+                v1 = v1 + mono
+            else:
+                v2 = v2 + mono
+        return v1, v2
+
+
+def _plan_columns(partials, weights, level, cut):
+    """The columns (lowest term key, var_index, u), sorted, read from
+    exponents: shifting by u keeps the term order, so a product's
+    lowest term is the partial's lowest term plus u, and the product
+    is empty when that term passes the cut."""
+    columns = []
+    for var_index, partial in enumerate(partials):
+        if partial.is_zero():
             continue
-        mono = SparsePoly.monomial(vars, u, value)
-        if var_index == 0:
-            v1 = v1 + mono
-        else:
-            v2 = v2 + mono
-    return v1, v2
+        exps = list(partial.terms)
+        lowest = min(exps, key=term_sort_key)
+        room = cut - sum(lowest)
+        for a in range(room + 1):
+            for b in range(room + 1 - a):
+                if a == 0 and b == 0:
+                    continue
+                order = min(
+                    weight_value(weights, (e[0] + a, e[1] + b))
+                    for e in exps
+                    if sum(e) + a + b <= cut
+                )
+                if order <= level:
+                    continue
+                low = term_sort_key((lowest[0] + a, lowest[1] + b))
+                columns.append((low, var_index, (a, b)))
+    columns.sort()
+    return columns
 
 
 def _lattice_box(weights, bound):

@@ -1,13 +1,28 @@
+import importlib
 from fractions import Fraction
 
 import pytest
 
+from arnoldnf.catalog import instantiate, moduli_positions
 from arnoldnf.classify import classify
 from arnoldnf.errors import PipelineError
-from arnoldnf.localalg import milnor_number
-from arnoldnf.poly import SparsePoly, parse_poly, substitute, wlayer
-from arnoldnf.scalars import approximate
+from arnoldnf.localalg import milnor_number, mono_mul
+from arnoldnf.poly import (
+    SparsePoly,
+    as_weights,
+    diff,
+    drop_above,
+    parse_poly,
+    poly_order,
+    substitute,
+    term_sort_key,
+    weight_value,
+    wlayer,
+)
+from arnoldnf.scalars import approximate, from_rational
 from arnoldnf.transform import (
+    _apply_shear,
+    _lattice_box,
     absorb_above,
     apply_linear,
     clear_level,
@@ -21,6 +36,10 @@ from arnoldnf.transform import (
     straighten_jet,
 )
 from milnor_oracle import brute_milnor
+
+# the package exports the classify function under the module's name
+classify_module = importlib.import_module("arnoldnf.classify")
+transform_module = importlib.import_module("arnoldnf.transform")
 
 
 def P(text, vars=("x", "y")):
@@ -233,6 +252,183 @@ def test_absorb_above_ideal_member_vanishes():
     f2 = absorb_above(f, J_CORNER_WEIGHTS, 180, [(0, 11)], 19)
     assert f2.coeff((0, 12)).is_zero()
     assert f2.coeff((0, 11)) == 2
+
+
+def _eager_column_safe(var_index, u, j, weights, allowed):
+    step = tuple(c - (1 if k == var_index else 0) for k, c in enumerate(u))
+    for m in allowed:
+        p = m
+        for _ in range(m[var_index]):
+            p = tuple(a + b for a, b in zip(p, step))
+            if p in allowed:
+                break
+            if weight_value(weights, p) <= j:
+                return False
+    return True
+
+
+def _eager_layer_shear(layer, candidates, weights, j, allowed):
+    """Reference elimination: every safe column is formed and reduced
+    on every layer before the layer itself is reduced."""
+    vars = layer.vars
+    zero = from_rational(0)
+    pivots = {}
+    for e in sorted(allowed):
+        pivots[e] = (SparsePoly.monomial(vars, e, 1), {})
+
+    def reduce_column(col, combo):
+        while not col.is_zero():
+            e = min(col.terms, key=term_sort_key)
+            entry = pivots.get(e)
+            if entry is None:
+                pivots[e] = (col, combo)
+                return
+            base, base_combo = entry
+            c = col.coeff(e) / base.coeff(e)
+            col = col - mono_mul(base, (0, 0), c)
+            for tag, value in base_combo.items():
+                combo[tag] = combo.get(tag, zero) - c * value
+
+    for _, var_index, u, prod in candidates:
+        if _eager_column_safe(var_index, u, j, weights, allowed):
+            reduce_column(prod, {(var_index, u): from_rational(1)})
+    s = layer
+    combo = {}
+    while not s.is_zero():
+        e = min(s.terms, key=term_sort_key)
+        base, base_combo = pivots[e]
+        c = s.coeff(e) / base.coeff(e)
+        s = s - mono_mul(base, (0, 0), c)
+        for tag, value in base_combo.items():
+            combo[tag] = combo.get(tag, zero) + c * value
+    v1 = SparsePoly.zero(vars)
+    v2 = SparsePoly.zero(vars)
+    for (var_index, u), value in sorted(combo.items()):
+        if value.is_zero():
+            continue
+        mono = SparsePoly.monomial(vars, u, value)
+        if var_index == 0:
+            v1 = v1 + mono
+        else:
+            v2 = v2 + mono
+    return v1, v2
+
+
+def _eager_absorb_above(f, weights, level, allowed, bound):
+    """absorb_above with every column product formed up front and the
+    whole table eliminated again on each layer; returns the germ and
+    the shears it applied."""
+    weights = as_weights(weights)
+    ordinary = as_weights((1, 1))
+    cut = bound - 1
+    f = drop_above(f, ordinary, cut)
+    f0 = wlayer(f, weights, level)
+    allowed = {tuple(e) for e in allowed}
+    partials = (diff(f0, 0), diff(f0, 1))
+    candidates = []
+    for var_index in (0, 1):
+        if partials[var_index].is_zero():
+            continue
+        for u in _lattice_box(ordinary, cut):
+            if sum(u) == 0:
+                continue
+            prod = drop_above(mono_mul(partials[var_index], u, 1), ordinary, cut)
+            if prod.is_zero() or poly_order(prod, weights) <= level:
+                continue
+            low = term_sort_key(min(prod.terms, key=term_sort_key))
+            candidates.append((low, var_index, u, prod))
+    candidates.sort(key=lambda item: (item[0], item[1], item[2]))
+    shears = []
+    for _ in range(300):
+        stray = {
+            e: c
+            for e, c in f.terms.items()
+            if weight_value(weights, e) > level and e not in allowed
+        }
+        if not stray:
+            return f, shears
+        j = min(weight_value(weights, e) for e in stray)
+        layer = SparsePoly.build(
+            f.vars,
+            {e: c for e, c in stray.items() if weight_value(weights, e) == j},
+        )
+        v1, v2 = _eager_layer_shear(layer, candidates, weights, j, allowed)
+        shears.append((v1, v2))
+        f = _apply_shear(f, v1, v2, cut)
+    raise AssertionError("eager absorption did not settle")
+
+
+def _absorb_calls(monkeypatch, g):
+    """Classify g and return, for each absorb_above call, its arguments,
+    its result and the shears it applied."""
+    calls = []
+    shears = []
+
+    def recording_shear(f, v1, v2, cut):
+        shears.append((v1, v2))
+        return _apply_shear(f, v1, v2, cut)
+
+    def recording_absorb(*args):
+        shears.clear()
+        result = absorb_above(*args)
+        calls.append((args, result, list(shears)))
+        return result
+
+    monkeypatch.setattr(transform_module, "_apply_shear", recording_shear)
+    monkeypatch.setattr(classify_module, "absorb_above", recording_absorb)
+    return classify(g), calls
+
+
+@pytest.mark.parametrize(
+    "key, indices, image, columns",
+    [
+        ("J_3,p", (3, 1), ("x", "x+x^3"), [1] * 7),
+        ("Z_1,p", (1, 1), ("x", "x+x^3"), [1] * 6),
+        ("W_1,p", (1, 1), ("x", "x+x^3"), [1] * 6),
+        ("Y_r,s", (5, 5), ("x", "x+x^3"), [1, 1, 1, 5]),
+        ("Y_r,s", (6, 6), ("x", "x+x^3"), [1, 1, 1, 1, 5]),
+        # 48 layers, on which the table drops columns that turn unsafe
+        ("J_3,p", (3, 2), ("y", "y+x^2"), None),
+    ],
+)
+def test_absorb_above_matches_eager_elimination(
+    monkeypatch, key, indices, image, columns
+):
+    # the image of the normal form under a tangent to identity change
+    # leaves a tail that absorb_above clears layer by layer; each
+    # layer's shear must equal the one the eager table gives, term for
+    # term
+    values = {name: 2 for name, _ in moduli_positions(key, indices)}
+    f0 = instantiate(key, indices, values)
+    var, text = image
+    g = substitute(f0, {var: P(text)}, truncation=((1, 1), 30))
+    r, calls = _absorb_calls(monkeypatch, g)
+    assert [(n, v) for n, v in r.parameters] == [(n, 2) for n in values]
+    assert len(calls) == 1
+    args, result, shears = calls[0]
+    want, want_shears = _eager_absorb_above(*args)
+    if columns is not None:
+        assert [len(v1.terms) + len(v2.terms) for v1, v2 in shears] == columns
+    assert shears and shears == want_shears
+    assert result == want
+
+
+def test_absorb_above_plans_nothing_without_stray_terms(monkeypatch):
+    # the J_3,68 normal form has no term above its corner level, so
+    # absorb_above must hand it back before planning a column box of
+    # ordinary degree 83
+    def no_table(*args):
+        raise AssertionError("a column table was planned")
+
+    monkeypatch.setattr(transform_module, "_ColumnTable", no_table)
+    g = P("x^3+x^2*y^3+y^77")
+    r, calls = _absorb_calls(monkeypatch, g)
+    assert (r.name, r.mu) == ("J_3,68", 84)
+    assert dict(r.parameters) == {"a0": 1, "a1": 0}
+    assert len(calls) == 1
+    args, result, shears = calls[0]
+    assert result == args[0] == g
+    assert shears == []
 
 
 # -- rescaling marked coefficients to one ----------------------------
