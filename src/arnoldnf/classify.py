@@ -136,7 +136,7 @@ def classify(f):
 def _plain(key, indices, modality, mu, corank, trace):
     name = display_name(key, indices)
     trace.append(f"matched {name}")
-    parts = normal_form_parts(key, indices, [])
+    parts = normal_form_parts(key, indices)
     return Result(key, indices, name, modality, mu, corank, [], parts, trace)
 
 
@@ -337,7 +337,7 @@ def _double_core(g, split, trace):
     name = display_name(key, indices)
     trace.append(f"principal part is a perfect square; matched {name}")
     parameters = [(positions[0][0], core.a0), (positions[1][0], core.a1)]
-    parts = normal_form_parts(key, indices, positions)
+    parts = normal_form_parts(key, indices)
     return Result(
         key, indices, name, 2, split.mu, 2, parameters, parts, trace
     )
@@ -365,17 +365,12 @@ def _finish(g, plan, split, bound, trace):
         trace.append(f"reduced layers up to degree {plan.dprime}")
     g = rescale_to_unit(g, plan.units)
     trace.append("units at " + ", ".join(str(e) for e in plan.units))
-    parameters = []
-    values = {}
-    for pname, exps in plan.moduli:
-        c = g.coeff(exps)
-        parameters.append((pname, c))
-        values[pname] = c
-    if plan.restriction is not None and not plan.restriction(values):
+    parameters = [(pname, g.coeff(exps)) for pname, exps in plan.moduli]
+    if plan.restriction is not None and plan.restriction(parameters[0][1]).is_zero():
         raise PipelineError("normal form landed on a forbidden stratum")
     name = display_name(plan.key, plan.indices)
     trace.append(f"matched {name}")
-    parts = normal_form_parts(plan.key, plan.indices, plan.moduli)
+    parts = normal_form_parts(plan.key, plan.indices)
     return Result(
         plan.key,
         plan.indices,

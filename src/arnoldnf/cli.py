@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .catalog import display_name, instantiate, moduli_positions
+from .catalog import FAMILIES, FAMILY, display_name, instantiate
 from .classify import classify
 from .errors import ParseError, Rejection
 from .poly import SparsePoly, parse_poly, substitute
@@ -167,44 +167,8 @@ def run_classify(ns):
 
 
 def _harness_rows():
-    rows = [("A_k", (k,)) for k in (1, 2, 3)]
-    rows += [("D_k", (k,)) for k in (4, 5, 6)]
-    rows += [("E_6", (6,)), ("E_7", (7,)), ("E_8", (8,))]
-    rows += [("X_9", (9,)), ("J_10", (10,))]
-    rows += [("E_12", (12,)), ("E_13", (13,)), ("E_14", (14,))]
-    rows += [("Z_11", (11,)), ("Z_12", (12,)), ("Z_13", (13,))]
-    rows += [("W_12", (12,)), ("W_13", (13,))]
-    rows += [("J_10+k", (10 + k,)) for k in (1, 2, 3)]
-    rows += [("X_9+k", (9 + k,)) for k in (1, 2, 3)]
-    rows += [("Y_r,s", rs) for rs in ((5, 5), (6, 5), (6, 6))]
-    rows += [("J_3,0", (3, 0)), ("Z_1,0", (1, 0)), ("W_1,0", (1, 0))]
-    rows += [("J_3,p", (3, p)) for p in (1, 2, 3)]
-    rows += [("Z_1,p", (1, p)) for p in (1, 2, 3)]
-    rows += [("W_1,p", (1, p)) for p in (1, 2, 3)]
-    rows += [("W#_1,2q-1", (1, 2 * q - 1)) for q in (1, 2, 3)]
-    rows += [("W#_1,2q", (1, 2 * q)) for q in (1, 2, 3)]
-    rows += [("E_18", (18,)), ("E_19", (19,)), ("E_20", (20,))]
-    rows += [("Z_17", (17,)), ("Z_18", (18,)), ("Z_19", (19,))]
-    rows += [("W_17", (17,)), ("W_18", (18,))]
-    return rows
+    return [(fam.key, indices) for fam in FAMILIES for indices in fam.samples]
 
-
-# leading coefficient constraints keeping a sampled germ inside its row
-_FIRST_VALUE_OK = {
-    "X_9": lambda c: c * c != 4,
-    "W_1,0": lambda c: c * c != 4,
-    "J_10": lambda c: 4 * c ** 3 + 27 != 0,
-    "J_3,0": lambda c: 4 * c ** 3 + 27 != 0,
-    "Z_1,0": lambda c: 4 * c ** 3 + 27 != 0,
-    "J_10+k": bool,
-    "X_9+k": bool,
-    "Y_r,s": bool,
-    "J_3,p": bool,
-    "Z_1,p": bool,
-    "W_1,p": bool,
-    "W#_1,2q-1": bool,
-    "W#_1,2q": bool,
-}
 
 _PALETTE = [
     Fraction(1),
@@ -219,11 +183,13 @@ _PALETTE = [
 
 
 def _row_values(key, indices, rng):
+    fam = FAMILY[key]
     values = {}
-    for i, (name, _) in enumerate(moduli_positions(key, indices)):
+    for i, (name, _) in enumerate(fam.moduli(*indices)):
         pool = list(_PALETTE) + [Fraction(0)]
-        if i == 0 and key in _FIRST_VALUE_OK:
-            pool = [c for c in pool if _FIRST_VALUE_OK[key](c)]
+        if i == 0 and fam.restriction is not None:
+            # keep the sampled germ on its family's open stratum
+            pool = [c for c in pool if fam.restriction(c) != 0]
         values[name] = rng.choice(pool)
     return values
 

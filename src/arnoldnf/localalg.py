@@ -133,7 +133,9 @@ def _int_ecart(d, order):
     return max(order.wdeg(e) for e in d) - order.wdeg(le)
 
 
-def _int_mora(h, basis, order):
+def _int_mora(h, basis, order, cap=None):
+    """Weak normal form of an integer dict; with a cap, terms of total
+    degree above it are dropped after every step."""
     used = list(basis)
     if h:
         h = _int_strip(h)
@@ -157,6 +159,7 @@ def _int_mora(h, basis, order):
                 new[k] = v
             else:
                 new.pop(k, None)
+        new = _capped(new, cap)
         h = _int_strip(new) if new else new
     return h
 
@@ -183,6 +186,24 @@ def _int_s_poly(f, g, order):
     return out
 
 
+def _int_basis(gens, order, cap=None):
+    """Standard basis of integer dicts, by pairs in arrival order."""
+    G = []
+    for d in gens:
+        d = _capped(d, cap)
+        if d:
+            G.append(_int_strip(d))
+    pairs = deque((i, j) for i in range(len(G)) for j in range(i + 1, len(G)))
+    while pairs:
+        i, j = pairs.popleft()
+        s = _capped(_int_s_poly(G[i], G[j], order), cap)
+        h = _int_mora(s, G, order, cap) if s else s
+        if h:
+            G.append(h)
+            pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
+    return G
+
+
 # -- capped completion -----------------------------------------------
 #
 # Dense input makes the full completion swell without bound, so the
@@ -193,56 +214,15 @@ def _int_s_poly(f, g, order):
 # count is exact, otherwise the cap was too small.
 
 
-def _int_mora_capped(h, basis, order, cap):
-    used = list(basis)
-    if h:
-        h = _int_strip(h)
-    while h:
-        le, lc = _int_leading(h, order)
-        divs = [t for t in used if _divides(_int_leading(t, order)[0], le)]
-        if not divs:
-            return h
-        reducer = min(divs, key=lambda t: _int_ecart(t, order))
-        if _int_ecart(reducer, order) > _int_ecart(h, order):
-            used.append(h)
-        re, rc = _int_leading(reducer, order)
-        shift = tuple(a - b for a, b in zip(le, re))
-        g = gcd(lc, rc)
-        a, b = rc // g, lc // g
-        new = {e: a * c for e, c in h.items()}
-        for e, c in reducer.items():
-            k = tuple(x + y for x, y in zip(e, shift))
-            v = new.get(k, 0) - b * c
-            if v:
-                new[k] = v
-            else:
-                new.pop(k, None)
-        new = {e: c for e, c in new.items() if sum(e) <= cap}
-        h = _int_strip(new) if new else new
-    return h
-
-
-def _capped_basis(int_gens, order, cap):
-    G = []
-    for d in int_gens:
-        d = {e: c for e, c in d.items() if sum(e) <= cap}
-        if d:
-            G.append(_int_strip(d))
-    pairs = deque((i, j) for i in range(len(G)) for j in range(i + 1, len(G)))
-    while pairs:
-        i, j = pairs.popleft()
-        s = _int_s_poly(G[i], G[j], order)
-        s = {e: c for e, c in s.items() if sum(e) <= cap}
-        h = _int_mora_capped(s, G, order, cap) if s else s
-        if h:
-            G.append(h)
-            pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
-    return G
+def _capped(d, cap):
+    if cap is None:
+        return d
+    return {e: c for e, c in d.items() if sum(e) <= cap}
 
 
 def _capped_milnor(int_gens, order, cap):
     """Exact Milnor count below the cap, or None when inconclusive."""
-    G = _capped_basis(int_gens, order, cap)
+    G = _int_basis(int_gens, order, cap)
     les = sorted({_int_leading(d, order)[0] for d in G})
     les = [e for e in les if not any(o != e and _divides(o, e) for o in les)]
     count = 0
@@ -299,24 +279,9 @@ def _s_poly(f, g, order):
 def standard_basis(gens, order):
     """Standard basis of the local ideal the generators span."""
     live = [g for g in gens if not g.is_zero()]
-    ints = []
-    for g in live:
-        d = _int_terms(g)
-        if d is None:
-            ints = None
-            break
-        ints.append(d)
-    if ints is not None:
-        G = ints
-        pairs = deque((i, j) for i in range(len(G)) for j in range(i + 1, len(G)))
-        while pairs:
-            i, j = pairs.popleft()
-            s = _int_s_poly(G[i], G[j], order)
-            h = _int_mora(s, G, order) if s else s
-            if h:
-                G.append(h)
-                pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
-        return [_int_poly(live[0].vars, d) for d in G]
+    ints = [_int_terms(g) for g in live]
+    if all(d is not None for d in ints):
+        return [_int_poly(live[0].vars, d) for d in _int_basis(ints, order)]
     G = [_primitive(g) for g in live]
     pairs = deque((i, j) for i in range(len(G)) for j in range(i + 1, len(G)))
     while pairs:
@@ -379,12 +344,6 @@ def jacobian_leading_exponents(f, weight=(1, 1)):
     return leading_exponents(basis, order)
 
 
-def in_jacobian_ideal(g, f, weight=(1, 1)):
-    order = LocalOrder(weight)
-    basis = standard_basis([diff(f, 0), diff(f, 1)], order)
-    return mora_nf(g, basis, order).is_zero()
-
-
 # -- exact linear algebra --------------------------------------------
 
 
@@ -416,28 +375,6 @@ def linear_solve(rows, rhs):
     for k, col in enumerate(pivots):
         solution[col] = aug[k][n]
     return solution
-
-
-def matrix_rank(rows):
-    m = len(rows)
-    if not m:
-        return 0
-    n = len(rows[0])
-    work = [list(r) for r in rows]
-    rank = 0
-    for col in range(n):
-        pivot = next((k for k in range(rank, m) if not work[k][col].is_zero()), None)
-        if pivot is None:
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        pv = work[rank][col]
-        work[rank] = [x / pv for x in work[rank]]
-        for k in range(m):
-            if k != rank and not work[k][col].is_zero():
-                factor = work[k][col]
-                work[k] = [x - factor * y for x, y in zip(work[k], work[rank])]
-        rank += 1
-    return rank
 
 
 # -- graded decomposition against a Jacobian -------------------------

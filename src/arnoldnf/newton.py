@@ -34,10 +34,6 @@ def uni_degree(f):
     return len(f) - 1
 
 
-def uni_is_zero(f):
-    return not f
-
-
 def uni_diff(f):
     return uni_make([c * k for k, c in enumerate(f)][1:])
 
@@ -47,10 +43,6 @@ def uni_eval(f, value):
     for c in reversed(f):
         acc = acc * value + c
     return acc
-
-
-def uni_scale(f, s):
-    return uni_make([c * s for c in f])
 
 
 def uni_sub(f, g):
@@ -339,13 +331,6 @@ def face_span_points(face):
     return pts
 
 
-def span_key(face):
-    """(x side end, y side end) of the full lattice segment of the face
-    line; the pair identifies the line among the catalog gradings."""
-    pts = face_span_points(face)
-    return pts[-1], pts[0]
-
-
 def two_face_grading(face1, face2):
     """Common grading for two adjacent faces.
 
@@ -413,12 +398,6 @@ def face_nondegenerate(g, face):
     """True when the face jet has no repeated factor besides axis powers."""
     _, _, h = face_decompose(g, face)
     return uni_squarefree(h)
-
-
-def jet_squarefree(g, face):
-    """True when the face jet is squarefree as a polynomial."""
-    a, b, h = face_decompose(g, face)
-    return a <= 1 and b <= 1 and uni_squarefree(h)
 
 
 def repeated_factor(g, face):

@@ -127,13 +127,6 @@ def _diagonalize(matrix):
     return p, diagonal, rank
 
 
-def hessian_corank(f):
-    """(corank, rank) of the quadratic part of a germ."""
-    matrix = _quadratic_matrix(f)
-    _, _, rank = _diagonalize(matrix)
-    return len(f.vars) - rank, rank
-
-
 def _complete_squares(g, diagonal, rank, bound):
     vars = g.vars
     trunc = ((1,) * len(vars), bound)

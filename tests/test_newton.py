@@ -9,12 +9,10 @@ from arnoldnf.newton import (
     face_jet,
     face_nondegenerate,
     face_span_points,
-    jet_squarefree,
     newton_polygon,
     quadratic_roots,
     rational_roots,
     repeated_factor,
-    span_key,
     two_face_grading,
     uni_divmod,
     uni_eval,
@@ -104,7 +102,6 @@ def test_polygon_single_face():
     assert poly.vertices == [(0, 7), (3, 0)]
     face = poly.faces[0]
     assert face.weight == (7, 3) and face.degree == 21
-    assert span_key(face) == ((3, 0), (0, 7))
     assert face_jet(f, face) == P("x^3+y^7")
 
 
@@ -113,7 +110,6 @@ def test_face_span():
     face = newton_polygon(f).faces[0]
     assert face.weight == (3, 2)
     assert face_span_points(face) == [(0, 4), (2, 1)]
-    assert span_key(face) == ((2, 1), (0, 4))
 
 
 def test_two_face_grading():
@@ -136,15 +132,6 @@ def test_face_decompose_and_compose():
     assert face_compose(("x", "y"), a, b, h, face) == jet
     assert not face_nondegenerate(jet, face)
     assert face_nondegenerate(P("x^4+3*x^2*y^3+y^6"), face)
-
-
-def test_jet_squarefree():
-    f = P("x^2*y+y^4")
-    face = newton_polygon(f).faces[0]
-    assert jet_squarefree(f, face)
-    g = P("x^2*y^2+y^5")
-    face2 = newton_polygon(g).faces[0]
-    assert not jet_squarefree(face_jet(g, face2), face2)
 
 
 def test_repeated_factor():

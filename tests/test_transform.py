@@ -28,7 +28,6 @@ from arnoldnf.transform import (
     clear_level,
     even_quartic_form,
     graded_ladder,
-    hessian_corank,
     kill_face_middle,
     normalize_double_core,
     rescale_to_unit,
@@ -94,11 +93,6 @@ def test_split_non_isolated():
     res = split_germ(P("x^2+2*x*y+y^2"))
     assert res.corank == 1
     assert res.mu is None
-
-
-def test_hessian_corank():
-    assert hessian_corank(P("x^2+3*x*y+y^4")) == (0, 2)
-    assert hessian_corank(P("x^2+y^3")) == (1, 1)
 
 
 # -- straightening the lowest jet ------------------------------------
