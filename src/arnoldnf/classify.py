@@ -32,17 +32,19 @@ from .newton import (
     repeated_factor,
     two_face_grading,
 )
-from .poly import SparsePoly, poly_order, substitute, weight_value, wlayer
-from .scalars import format_scalar, from_rational
+from .poly import SparsePoly, poly_order, weight_value, wlayer
+from .scalars import format_scalar
 from .transform import (
     absorb_above,
     apply_linear,
     clear_level,
     even_quartic_form,
+    expose_end,
     graded_ladder,
     kill_face_middle,
     normalize_double_core,
     rescale_to_unit,
+    shear,
     split_germ,
     straighten_jet,
 )
@@ -181,7 +183,8 @@ def _corank_two(split, trace):
                 if s < 2:
                     raise PipelineError("repeated face factor inside the jet")
                 c = fac.coeff(raw[0]) / fac.coeff(raw[1])
-                g = _shear(g, "x", (0, s), -c, bound)
+                v1 = SparsePoly.monomial(g.vars, (0, s), c)
+                g = shear(g, v1, SparsePoly.zero(g.vars), ((1, 1), bound))
                 trace.append(f"sheared x by -({format_scalar(c)})*y^{s}")
                 continue
             if pure and support[0] == (0, 1):
@@ -189,7 +192,8 @@ def _corank_two(split, trace):
                 if k < 2:
                     raise PipelineError("repeated face factor inside the jet")
                 c = fac.coeff(raw[1]) / fac.coeff(raw[0])
-                g = _shear(g, "y", (k, 0), -c, bound)
+                v2 = SparsePoly.monomial(g.vars, (k, 0), c)
+                g = shear(g, SparsePoly.zero(g.vars), v2, ((1, 1), bound))
                 trace.append(f"sheared y by -({format_scalar(c)})*x^{k}")
                 continue
             if support == [(0, 3), (2, 0)]:
@@ -270,45 +274,21 @@ def _working_face(pg, anchor):
     raise PipelineError(f"jet anchor {anchor} fell off the boundary")
 
 
-def _shear(g, var, exps, coeff, bound):
-    image = SparsePoly.variable(g.vars, var) + SparsePoly.monomial(
-        g.vars, exps, coeff
-    )
-    return substitute(g, {var: image}, truncation=((1, 1), bound))
-
-
 def _expose_axis_end(g, face, axis, bound, trace):
     """Shear along the working face until its lattice line reaches the
-    pure power of `axis`.
-
-    Only the face jet contributes at the exposed end, and its value
-    there is a nonzero polynomial in the shear parameter, so scanning
-    small integers is guaranteed to find a working one.
-    """
+    pure power of `axis`; only the face jet contributes there."""
     wx, wy = face.weight
-    jet = face_jet(g, face)
     if axis == "y":
         if wy != 1 or wx < 2:
             raise PipelineError("no lattice shift exposes the y end")
-        var, exps = "x", (0, wx)
-        powers = {e: e[0] for e in jet.terms}
+        var_index, exps = 0, (0, wx)
     else:
         if wx != 1 or wy < 2:
             raise PipelineError("no lattice shift exposes the x end")
-        var, exps = "y", (wy, 0)
-        powers = {e: e[1] for e in jet.terms}
-    top = max(powers.values())
-    for k in range(1, top + 3):
-        for lam in (k, -k):
-            value = sum(
-                (c * lam ** powers[e] for e, c in jet.terms.items()),
-                from_rational(0),
-            )
-            if not value.is_zero():
-                g = _shear(g, var, exps, from_rational(lam), bound)
-                trace.append(f"shifted {var} by {lam} along the face")
-                return g
-    raise PipelineError("face end refused to appear")
+        var_index, exps = 1, (wy, 0)
+    g, lam = expose_end(g, face_jet(g, face), var_index, exps, bound)
+    trace.append(f"shifted {g.vars[var_index]} by {lam} along the face")
+    return g
 
 
 def _complete_square_tail(g, vend, bound, trace):
@@ -321,7 +301,8 @@ def _complete_square_tail(g, vend, bound, trace):
     if k < 2:
         raise PipelineError("square completion would disturb the jet")
     c = g.coeff(vend) / (2 * pivot)
-    g = _shear(g, "y", (k, 0), -c, bound)
+    v2 = SparsePoly.monomial(g.vars, (k, 0), c)
+    g = shear(g, SparsePoly.zero(g.vars), v2, ((1, 1), bound))
     trace.append(f"completed the square: y by -({format_scalar(c)})*x^{k}")
     return g
 

@@ -281,9 +281,6 @@ class Face:
         self.weight = (dj // g, di // g)
         self.degree = self.weight[0] * a[0] + self.weight[1] * a[1]
 
-    def on_line(self, exps):
-        return self.weight[0] * exps[0] + self.weight[1] * exps[1] == self.degree
-
     def __repr__(self):
         return f"Face({self.a}-{self.b}, w={self.weight})"
 

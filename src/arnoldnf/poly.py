@@ -70,16 +70,10 @@ class SparsePoly:
     def coeff(self, exps):
         return self.terms.get(tuple(exps), from_rational(0))
 
-    def support(self):
-        return sorted(self.terms)
-
     def total_degree(self):
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def num_vars(self):
-        return len(self.vars)
 
     def __eq__(self, other):
         if not isinstance(other, SparsePoly):

@@ -511,20 +511,13 @@ def _numeric_generators(tower):
 
 
 def _truncate_decimal(value, digits):
-    """Decimal string of `value` cut toward zero after `digits` places."""
-    negative = value < 0
-    scaled = int(mpmath.floor(abs(value) * mpmath.mpf(10) ** digits))
-    sign = "-" if negative and scaled else ""
-    if digits == 0:
-        return f"{sign}{scaled}"
-    whole, frac = divmod(scaled, 10 ** digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
-
-
-def _truncate_fraction(q, digits):
-    negative = q < 0
-    scaled = (abs(q.numerator) * 10 ** digits) // q.denominator
-    sign = "-" if negative and scaled else ""
+    """Decimal string of `value`, a Fraction or an mpmath real, cut
+    toward zero after `digits` places."""
+    if isinstance(value, Fraction):
+        scaled = (abs(value.numerator) * 10 ** digits) // value.denominator
+    else:
+        scaled = int(mpmath.floor(abs(value) * mpmath.mpf(10) ** digits))
+    sign = "-" if value < 0 and scaled else ""
     if digits == 0:
         return f"{sign}{scaled}"
     whole, frac = divmod(scaled, 10 ** digits)
@@ -540,9 +533,9 @@ def approximate(scalar, digits):
     imaginary half when it truncates to zero.
     """
     if isinstance(scalar, (int, Fraction)):
-        return _truncate_fraction(Fraction(scalar), digits)
+        return _truncate_decimal(Fraction(scalar), digits)
     if scalar.is_rational():
-        return _truncate_fraction(scalar.as_fraction(), digits)
+        return _truncate_decimal(scalar.as_fraction(), digits)
     prev = None
     prec = 120
     while prec <= 1 << 18:

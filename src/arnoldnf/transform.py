@@ -13,7 +13,12 @@ import math
 from fractions import Fraction
 
 from .errors import PipelineError
-from .localalg import layer_decompose, milnor_number, mono_mul
+from .localalg import (
+    _monomials_with_pdeg_at_most,
+    layer_decompose,
+    milnor_number,
+    mono_mul,
+)
 from .poly import (
     SparsePoly,
     as_weights,
@@ -160,8 +165,7 @@ def split_germ(f):
     certificate was reached below the Bezout style cutoff, so the
     singularity is not isolated.
     """
-    vars = f.vars
-    n = len(vars)
+    n = len(f.vars)
     matrix = _quadratic_matrix(f)
     change, diagonal, rank = _diagonalize(matrix)
     corank = n - rank
@@ -169,20 +173,9 @@ def split_germ(f):
         return SplitResult(corank, rank, None, None)
     degree = max(f.total_degree(), 2)
     cutoff = (degree - 1) ** n + 3
-    images = {}
-    for i, name in enumerate(vars):
-        row = SparsePoly.zero(vars)
-        for j in range(n):
-            if not change[i][j].is_zero():
-                row = row + SparsePoly.monomial(
-                    vars,
-                    tuple(1 if k == j else 0 for k in range(n)),
-                    change[i][j],
-                )
-        images[name] = row
     bound = max(2 * degree, 10)
     while True:
-        g = substitute(f, images, truncation=((1,) * n, bound))
+        g = apply_linear(f, change, bound)
         g = _complete_squares(g, diagonal, rank, bound)
         residual_terms = {}
         for e, c in g.terms.items():
@@ -375,23 +368,18 @@ def _kill_middle(g, d, bound, pivot):
     x^2*(a0*x^2 + a1*x*y + a2*y^2), a2 nonzero, and y absorbs it.
     """
     jet = wlayer(g, (1, 1), d)
+    zero = SparsePoly.zero(g.vars)
     if pivot == "x":
         a0 = jet.coeff((2, 1))
-        a1 = jet.coeff((1, 2))
         if a0.is_zero():
             raise PipelineError("expected a nonzero square coefficient")
-        image = SparsePoly.variable(g.vars, "x") - SparsePoly.monomial(
-            g.vars, (0, 1), a1 / (2 * a0)
-        )
-        return substitute(g, {"x": image}, truncation=((1, 1), bound))
-    a1 = jet.coeff((3, 1))
+        v1 = SparsePoly.monomial(g.vars, (0, 1), jet.coeff((1, 2)) / (2 * a0))
+        return shear(g, v1, zero, ((1, 1), bound))
     a2 = jet.coeff((2, 2))
     if a2.is_zero():
         raise PipelineError("expected a nonzero cofactor tail")
-    image = SparsePoly.variable(g.vars, "y") - SparsePoly.monomial(
-        g.vars, (1, 0), a1 / (2 * a2)
-    )
-    return substitute(g, {"y": image}, truncation=((1, 1), bound))
+    v2 = SparsePoly.monomial(g.vars, (1, 0), jet.coeff((3, 1)) / (2 * a2))
+    return shear(g, zero, v2, ((1, 1), bound))
 
 
 def _expect_support(g, d, support):
@@ -421,14 +409,9 @@ def clear_level(f, weights, level, allowed, bound):
     if result is None:
         return None
     v1, v2, _ = result
-    images = {}
-    if not v1.is_zero():
-        images["x"] = SparsePoly.variable(f.vars, "x") - v1
-    if not v2.is_zero():
-        images["y"] = SparsePoly.variable(f.vars, "y") - v2
-    if not images:
+    if v1.is_zero() and v2.is_zero():
         return None
-    return substitute(f, images, truncation=((1, 1), bound))
+    return shear(f, v1, v2, ((1, 1), bound))
 
 
 # -- the layer ladder ------------------------------------------------
@@ -448,7 +431,7 @@ def graded_ladder(f, weights, d, dprime, allowed_above):
     levels = sorted(
         {
             weight_value(weights, e)
-            for e in _lattice_box(weights, dprime)
+            for e in _monomials_with_pdeg_at_most(weights, dprime)
             if d < weight_value(weights, e) <= dprime
         }
     )
@@ -465,13 +448,7 @@ def graded_ladder(f, weights, d, dprime, allowed_above):
                 f"layer {level} will not reduce onto the Jacobian and moduli"
             )
         v1, v2, coeffs = result
-        images = {}
-        if not v1.is_zero():
-            images["x"] = SparsePoly.variable(f.vars, "x") - v1
-        if not v2.is_zero():
-            images["y"] = SparsePoly.variable(f.vars, "y") - v2
-        if images:
-            current = substitute(current, images, truncation=(weights, dprime))
+        current = shear(current, v1, v2, (weights, dprime))
         layer_now = wlayer(current, weights, level)
         expected = SparsePoly.build(f.vars, dict(coeffs))
         if not (layer_now - expected).is_zero():
@@ -522,7 +499,7 @@ def absorb_above(f, weights, level, allowed, bound):
         v1, v2 = table.layer_shear(layer, j)
         if v1.is_zero() and v2.is_zero():
             raise PipelineError("tail absorption made no progress")
-        f = _apply_shear(f, v1, v2, cut)
+        f = shear(f, v1, v2, (ordinary, cut))
         if not (wjet(f, weights, level) - base).is_zero():
             raise PipelineError("tail absorption disturbed the principal part")
     raise PipelineError("tail absorption did not settle")
@@ -552,18 +529,23 @@ def _column_floor(var_index, u, weights, allowed):
     return floor
 
 
-def _apply_shear(f, v1, v2, cut):
-    """Evaluate f(x - v1, y - v2) truncated at ordinary degree cut.
+def shear(f, v1, v2, truncation):
+    """Evaluate f(x - v1, y - v2), dropping every term beyond
+    `truncation` = (weights, bound); f comes back unchanged when both
+    parts are zero.
 
     Expands the shifted germ as a Taylor sum over scaled derivatives of
-    f against powers of the shear parts.  A layer shear may be linear
-    (a part can hold a multiple of x or y), so the powers need not
-    raise the order; the sum is finite because f is a polynomial and
-    each step differentiates it once more, and it stops sooner when a
-    power of a part of order two or more passes the cut.
+    f against powers of the shear parts.  A part may be linear (a layer
+    shear of `absorb_above` can hold a multiple of x or y), so the
+    powers need not raise the order; the sum is finite because f is a
+    polynomial and each step differentiates it once more, and it stops
+    sooner when a power of a part passes the bound.
     """
+    if v1.is_zero() and v2.is_zero():
+        return f
     vars = f.vars
-    ordinary = as_weights((1, 1))
+    weights, bound = truncation
+    weights = as_weights(weights)
     neg = from_rational(-1)
     out = SparsePoly.zero(vars)
     fa = f
@@ -574,17 +556,17 @@ def _apply_shear(f, v1, v2, cut):
         ypow = xpow
         b = 0
         while not fab.is_zero() and not ypow.is_zero():
-            out = out + mul_trunc(fab, ypow, ordinary, cut)
+            out = out + mul_trunc(fab, ypow, weights, bound)
             if v2.is_zero():
                 break
             b += 1
             fab = mono_mul(diff(fab, 1), (0, 0), from_rational(Fraction(1, b)))
-            ypow = mono_mul(mul_trunc(ypow, v2, ordinary, cut), (0, 0), neg)
+            ypow = mono_mul(mul_trunc(ypow, v2, weights, bound), (0, 0), neg)
         if v1.is_zero():
             break
         a += 1
         fa = mono_mul(diff(fa, 0), (0, 0), from_rational(Fraction(1, a)))
-        xpow = mono_mul(mul_trunc(xpow, v1, ordinary, cut), (0, 0), neg)
+        xpow = mono_mul(mul_trunc(xpow, v1, weights, bound), (0, 0), neg)
     return out
 
 
@@ -761,17 +743,6 @@ def _plan_columns(partials, weights, level, cut):
     return columns
 
 
-def _lattice_box(weights, bound):
-    min_wx = min(w[0] for w in weights)
-    min_wy = min(w[1] for w in weights)
-    out = []
-    for a in range(bound // min_wx + 1):
-        for b in range(bound // min_wy + 1):
-            if weight_value(weights, (a, b)) <= bound:
-                out.append((a, b))
-    return out
-
-
 # -- rescaling marked coefficients to one ----------------------------
 
 
@@ -883,10 +854,8 @@ def kill_face_middle(f, exps3, exps2, exps1, sub_power, bound):
     shift = min(roots, key=rank)
     if shift.is_zero():
         return f
-    image = SparsePoly.variable(f.vars, "x") + SparsePoly.monomial(
-        f.vars, (0, sub_power), shift
-    )
-    f2 = substitute(f, {"x": image}, truncation=((1, 1), bound))
+    v1 = SparsePoly.monomial(f.vars, (0, sub_power), -shift)
+    f2 = shear(f, v1, SparsePoly.zero(f.vars), ((1, 1), bound))
     if not f2.coeff(exps1).is_zero():
         raise PipelineError("face middle term survived the shift")
     return f2
@@ -943,10 +912,10 @@ def even_quartic_form(g, bound):
     """
     jet = wlayer(g, (1, 1), 4)
     if jet.coeff((4, 0)).is_zero():
-        g = _expose_end(g, jet, axis="x", bound=bound)
+        g, _ = expose_end(g, jet, 1, (1, 0), bound)
         jet = wlayer(g, (1, 1), 4)
     if jet.coeff((0, 4)).is_zero():
-        g = _expose_end(g, jet, axis="y", bound=bound)
+        g, _ = expose_end(g, jet, 0, (0, 1), bound)
         jet = wlayer(g, (1, 1), 4)
     coeffs = [jet.coeff((k, 4 - k)) for k in range(5)]
     tower = _tower_of(jet)
@@ -987,32 +956,30 @@ def even_quartic_form(g, bound):
     return g2
 
 
-def _expose_end(g, jet, axis, bound):
-    """Shear along the other variable until the pure fourth power of
-    `axis` is present in the quartic jet."""
-    for lam in (1, -1, 2, -2, 3, -3, 4, -4):
-        lam = Fraction(lam)
-        if axis == "x":
+def expose_end(g, jet, var_index, exps, bound):
+    """Shift variable `var_index` by lam times the monomial `exps` for
+    the first lam in 1, -1, 2, -2, ... that makes the end of `jet` which
+    the shift reaches nonzero; returns (g2, lam).
+
+    Only the jet contributes at that end, with the value
+    sum(c * lam**e[var_index]) over its terms c * x^e: a polynomial in
+    lam with at most `top` roots, top the highest power of the shifted
+    variable, so scanning +-1 ... +-(top + 2) finds a working lam
+    whenever that polynomial is nonzero.
+    """
+    top = max((e[var_index] for e in jet.terms), default=0)
+    zero = SparsePoly.zero(g.vars)
+    for k in range(1, top + 3):
+        for lam in (k, -k):
             value = sum(
-                (c * lam ** e[1] for e, c in jet.terms.items()),
+                (c * lam ** e[var_index] for e, c in jet.terms.items()),
                 from_rational(0),
             )
-            image = SparsePoly.variable(g.vars, "y") + SparsePoly.monomial(
-                g.vars, (1, 0), lam
-            )
-            var = "y"
-        else:
-            value = sum(
-                (c * lam ** e[0] for e, c in jet.terms.items()),
-                from_rational(0),
-            )
-            image = SparsePoly.variable(g.vars, "x") + SparsePoly.monomial(
-                g.vars, (0, 1), lam
-            )
-            var = "x"
-        if not value.is_zero():
-            return substitute(g, {var: image}, truncation=((1, 1), bound))
-    raise PipelineError("could not expose a pure fourth power")
+            if not value.is_zero():
+                step = SparsePoly.monomial(g.vars, exps, -lam)
+                v1, v2 = (step, zero) if var_index == 0 else (zero, step)
+                return shear(g, v1, v2, ((1, 1), bound)), lam
+    raise PipelineError("no shift exposes the end of the jet")
 
 
 # -- germs built on a double core x^2 + y^3 --------------------------
@@ -1063,14 +1030,7 @@ def _peel_core_multiple(f, l, bound):
             v2 = v2 + SparsePoly.monomial(
                 vars, (e[0], e[1] - 2), c * Fraction(1, 6)
             )
-    images = {}
-    if not v1.is_zero():
-        images["x"] = SparsePoly.variable(vars, "x") - v1
-    if not v2.is_zero():
-        images["y"] = SparsePoly.variable(vars, "y") - v2
-    if not images:
-        return f
-    return substitute(f, images, truncation=(_CORE_WEIGHT, bound))
+    return shear(f, v1, v2, (_CORE_WEIGHT, bound))
 
 
 def _flow_images(vars, c, depth):

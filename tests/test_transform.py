@@ -6,7 +6,11 @@ import pytest
 from arnoldnf.catalog import instantiate, moduli_positions
 from arnoldnf.classify import classify
 from arnoldnf.errors import PipelineError
-from arnoldnf.localalg import milnor_number, mono_mul
+from arnoldnf.localalg import (
+    _monomials_with_pdeg_at_most,
+    milnor_number,
+    mono_mul,
+)
 from arnoldnf.poly import (
     SparsePoly,
     as_weights,
@@ -19,18 +23,18 @@ from arnoldnf.poly import (
     weight_value,
     wlayer,
 )
-from arnoldnf.scalars import approximate, from_rational
+from arnoldnf.scalars import QQ, adjoin_root, approximate, from_rational
 from arnoldnf.transform import (
-    _apply_shear,
-    _lattice_box,
     absorb_above,
     apply_linear,
     clear_level,
     even_quartic_form,
+    expose_end,
     graded_ladder,
     kill_face_middle,
     normalize_double_core,
     rescale_to_unit,
+    shear,
     split_germ,
     straighten_jet,
 )
@@ -219,6 +223,56 @@ def test_ladder_shears_one_layer():
     assert (f2 - expected).is_zero()
 
 
+# -- one shear routine -----------------------------------------------
+
+
+def _substituted(f, v1, v2, truncation):
+    """f(x - v1, y - v2) by substitution, the reference for shear."""
+    x = SparsePoly.variable(f.vars, "x")
+    y = SparsePoly.variable(f.vars, "y")
+    return substitute(f, {"x": x - v1, "y": y - v2}, truncation=truncation)
+
+
+@pytest.mark.parametrize(
+    "f, v1, v2, truncation",
+    [
+        # ordinary cut; x^5*y^4 already lies past it
+        ("x^3+x*y^4-2*x^2*y^2+y^6+x^5*y^4", "1/2*y^2-x*y", "3*x^2+y^3",
+         ((1, 1), 8)),
+        # one weight, as graded_ladder cuts
+        ("x^3+y^7+x*y^5+x^2*y^4", "2*y^3-x*y^2", "x*y+1/3*x^2", ((7, 3), 30)),
+        # two piece weight, as a corner grading
+        ("x^3+x^2*y^2+y^8+x*y^6", "y^4-x*y^2", "1/3*x^2+x*y^3",
+         (((9, 3), (8, 4)), 40)),
+        # a linear part, like the 23/54*x of the second layer shear
+        # absorb_above makes for x^3+x^2*y^3+y^10+x^3*y
+        ("x^3+x^2*y^3+y^10+x^3*y", "x*y^2-2*y^4", "23/54*x+y^2",
+         ((1, 1), 12)),
+    ],
+)
+def test_shear_matches_substitute(f, v1, v2, truncation):
+    f, v1, v2 = P(f), P(v1), P(v2)
+    assert shear(f, v1, v2, truncation) == _substituted(f, v1, v2, truncation)
+
+
+def test_shear_over_a_radical_tower():
+    _, r = adjoin_root(QQ, 2, from_rational(2))
+    f = P("x^3+x*y^4") + B({(0, 5): r, (2, 2): 1 + r})
+    v1 = B({(0, 2): r, (1, 1): Fraction(1, 3)})
+    v2 = B({(2, 0): 1 - r})
+    truncation = ((1, 1), 9)
+    got = shear(f, v1, v2, truncation)
+    assert not all(c.is_rational() for c in got.terms.values())
+    assert got == _substituted(f, v1, v2, truncation)
+
+
+def test_shear_without_parts_returns_f():
+    # x^5*y^5 lies past the bound, so any truncation would show
+    f = P("x^3+y^9+x^5*y^5")
+    zero = SparsePoly.zero(f.vars)
+    assert shear(f, zero, zero, ((1, 1), 6)) is f
+
+
 # -- exact absorption above a corner level ---------------------------
 
 J_CORNER_WEIGHTS = ((63, 18), (60, 20))
@@ -323,9 +377,7 @@ def _eager_absorb_above(f, weights, level, allowed, bound):
     for var_index in (0, 1):
         if partials[var_index].is_zero():
             continue
-        for u in _lattice_box(ordinary, cut):
-            if sum(u) == 0:
-                continue
+        for u in _monomials_with_pdeg_at_most(ordinary, cut):
             prod = drop_above(mono_mul(partials[var_index], u, 1), ordinary, cut)
             if prod.is_zero() or poly_order(prod, weights) <= level:
                 continue
@@ -348,7 +400,7 @@ def _eager_absorb_above(f, weights, level, allowed, bound):
         )
         v1, v2 = _eager_layer_shear(layer, candidates, weights, j, allowed)
         shears.append((v1, v2))
-        f = _apply_shear(f, v1, v2, cut)
+        f = shear(f, v1, v2, (ordinary, cut))
     raise AssertionError("eager absorption did not settle")
 
 
@@ -358,9 +410,9 @@ def _absorb_calls(monkeypatch, g):
     calls = []
     shears = []
 
-    def recording_shear(f, v1, v2, cut):
+    def recording_shear(f, v1, v2, truncation):
         shears.append((v1, v2))
-        return _apply_shear(f, v1, v2, cut)
+        return shear(f, v1, v2, truncation)
 
     def recording_absorb(*args):
         shears.clear()
@@ -368,7 +420,7 @@ def _absorb_calls(monkeypatch, g):
         calls.append((args, result, list(shears)))
         return result
 
-    monkeypatch.setattr(transform_module, "_apply_shear", recording_shear)
+    monkeypatch.setattr(transform_module, "shear", recording_shear)
     monkeypatch.setattr(classify_module, "absorb_above", recording_absorb)
     return classify(g), calls
 
@@ -551,6 +603,17 @@ def test_even_quartic_missing_ends():
     assert not jet.coeff((4, 0)).is_zero()
     assert not jet.coeff((0, 4)).is_zero()
     assert milnor_number(f2) == 9
+
+
+def test_expose_end_skips_the_roots_of_the_end():
+    # y -> y + lam*x puts lam*(1-lam)*(1+lam)*(1+2*lam) on x^4, which
+    # lam = 1 and lam = -1 both zero
+    g = P("y*(x-y)*(x+y)*(x+2*y)")
+    g2, lam = expose_end(g, wlayer(g, (1, 1), 4), 1, (1, 0), 11)
+    assert lam == 2
+    assert g2 == substitute(g, {"y": P("y+2*x")}, truncation=((1, 1), 11))
+    jet = wlayer(even_quartic_form(g, 11), (1, 1), 4)
+    assert set(jet.terms) == {(4, 0), (2, 2), (0, 4)}
 
 
 # -- germs built on a double core ------------------------------------
