@@ -6,12 +6,19 @@ origin, using a weighted order in which the constant monomial is the
 largest.  Division therefore follows the ecart strategy: a reduction
 step may enlarge the reducer set with the current remainder, which is
 what makes the loop terminate for these orders.
+
+One engine does every reduction, on coefficient dicts that hold
+coprime integers for rational input and tower scalars otherwise; its
+steps cross multiply and never divide, since every caller only uses
+the ideal an element spans.  Milnor numbers come from completions
+modulo the monomials past a growing degree cap.  The last cap needs no
+guess: an isolated germ of degree d has m^mu inside its Jacobian ideal
+and mu <= (d-1)^2 by Bezout, so a cap of (d-1)^2 + 2 decides it.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import PipelineError
@@ -38,13 +45,10 @@ class LocalOrder:
     def wdeg(self, exps):
         return self.weight[0] * exps[0] + self.weight[1] * exps[1]
 
-    def leading(self, f):
-        return max(f.terms.items(), key=lambda item: self.key(item[0]))
-
-    def ecart(self, f):
-        le, _ = self.leading(f)
-        top = max(self.wdeg(e) for e in f.terms)
-        return top - self.wdeg(le)
+    def leading(self, d):
+        """Leading (exponent, coefficient) of a coefficient dict."""
+        e = max(d, key=self.key)
+        return e, d[e]
 
 
 def mono_mul(f, exps, coeff):
@@ -61,157 +65,64 @@ def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def _primitive(f):
-    """Rescale a rational polynomial to coprime integer coefficients.
-
-    Division chains multiply denominators relentlessly; since every
-    consumer here only cares about the ideal an element generates, the
-    content can be stripped after each step.  Polynomials with scalars
-    off the rational ground field are returned unchanged.
-    """
-    if f.is_zero():
-        return f
-    nums = []
-    dens = []
-    for c in f.terms.values():
-        if not c.is_rational():
-            return f
-        q = c.as_fraction()
-        nums.append(q.numerator)
-        dens.append(q.denominator)
-    scale = Fraction(lcm(*dens), gcd(*nums))
-    if scale == 1:
-        return f
-    return mono_mul(f, (0, 0), from_rational(scale))
+# -- the engine ------------------------------------------------------
 
 
-# -- integer fast path -----------------------------------------------
-#
-# Reductions over the rationals run on plain integer dicts with cross
-# multiplied, division free steps; the content is stripped as it
-# appears.  Only the ideal matters to every caller, so the scaling
-# freedom costs nothing.
+def _coeff_dicts(polys):
+    """Engine input for nonzero polynomials: coprime integer dicts when
+    every coefficient is rational, tower scalar dicts otherwise."""
+    if not all(c.is_rational() for f in polys for c in f.terms.values()):
+        return [dict(f.terms) for f in polys]
+    out = []
+    for f in polys:
+        qs = {e: c.as_fraction() for e, c in f.terms.items()}
+        scale = lcm(*(q.denominator for q in qs.values()))
+        out.append(_strip({e: int(q * scale) for e, q in qs.items()}))
+    return out
 
 
-def _int_terms(f):
-    """Coprime integer coefficient dict of a rational polynomial;
-    None when a scalar leaves the rational field."""
-    fractions = {}
-    dens = []
-    for e, c in f.terms.items():
-        if not c.is_rational():
-            return None
-        q = c.as_fraction()
-        fractions[e] = q
-        dens.append(q.denominator)
-    scale = lcm(*dens)
-    ints = {e: int(q * scale) for e, q in fractions.items()}
-    g = gcd(*ints.values())
-    if g > 1:
-        ints = {e: c // g for e, c in ints.items()}
-    return ints
+def _poly(vars, d):
+    return SparsePoly(
+        vars, {e: from_rational(c) if type(c) is int else c for e, c in d.items()}
+    )
 
 
-def _int_strip(d):
+def _strip(d):
+    """Divide out the content of an integer dict; tower dicts pass."""
+    if type(next(iter(d.values()))) is not int:
+        return d
     g = gcd(*d.values())
     if g > 1:
         return {e: c // g for e, c in d.items()}
     return d
 
 
-def _int_poly(vars, d):
-    return SparsePoly(vars, {e: from_rational(Fraction(c)) for e, c in d.items()})
-
-
-def _int_leading(d, order):
-    e = max(d, key=order.key)
-    return e, d[e]
-
-
-def _int_ecart(d, order):
-    le = max(d, key=order.key)
-    return max(order.wdeg(e) for e in d) - order.wdeg(le)
-
-
-def _int_mora(h, basis, order, cap=None):
-    """Weak normal form of an integer dict; with a cap, terms of total
-    degree above it are dropped after every step."""
-    used = list(basis)
-    if h:
-        h = _int_strip(h)
-    while h:
-        le, lc = _int_leading(h, order)
-        divs = [t for t in used if _divides(_int_leading(t, order)[0], le)]
-        if not divs:
-            return h
-        reducer = min(divs, key=lambda t: _int_ecart(t, order))
-        if _int_ecart(reducer, order) > _int_ecart(h, order):
-            used.append(h)
-        re, rc = _int_leading(reducer, order)
-        shift = tuple(a - b for a, b in zip(le, re))
+def _multipliers(lc, rc):
+    """(a, b) with a * lc == b * rc, coprime for integers."""
+    if type(lc) is int:
         g = gcd(lc, rc)
-        a, b = rc // g, lc // g
-        new = {e: a * c for e, c in h.items()}
-        for e, c in reducer.items():
-            k = tuple(x + y for x, y in zip(e, shift))
-            v = new.get(k, 0) - b * c
-            if v:
-                new[k] = v
-            else:
-                new.pop(k, None)
-        new = _capped(new, cap)
-        h = _int_strip(new) if new else new
-    return h
+        return rc // g, lc // g
+    return rc, lc
 
 
-def _int_s_poly(f, g, order):
-    ef, cf = _int_leading(f, order)
-    eg, cg = _int_leading(g, order)
-    lcm_e = tuple(max(a, b) for a, b in zip(ef, eg))
-    d = gcd(cf, cg)
-    a, b = cg // d, cf // d
-    sf = tuple(l - x for l, x in zip(lcm_e, ef))
-    sg = tuple(l - x for l, x in zip(lcm_e, eg))
-    out = {}
-    for e, c in f.items():
-        k = tuple(x + s for x, s in zip(e, sf))
-        out[k] = out.get(k, 0) + a * c
+def _reducer(d, order):
+    """(leading exponent, ecart, d); the ecart is how far the lowest
+    term lies past the leading one in weighted degree."""
+    le = max(d, key=order.key)
+    return le, max(map(order.wdeg, d)) - order.wdeg(le), d
+
+
+def _combine(h, a, g, shift, b):
+    """a * h - b * x^shift * g, without zero coefficients."""
+    new = {e: a * c for e, c in h.items()}
     for e, c in g.items():
-        k = tuple(x + s for x, s in zip(e, sg))
-        v = out.get(k, 0) - b * c
+        k = tuple(x + y for x, y in zip(e, shift))
+        v = new.get(k, 0) - b * c
         if v:
-            out[k] = v
+            new[k] = v
         else:
-            out.pop(k, None)
-    return out
-
-
-def _int_basis(gens, order, cap=None):
-    """Standard basis of integer dicts, by pairs in arrival order."""
-    G = []
-    for d in gens:
-        d = _capped(d, cap)
-        if d:
-            G.append(_int_strip(d))
-    pairs = deque((i, j) for i in range(len(G)) for j in range(i + 1, len(G)))
-    while pairs:
-        i, j = pairs.popleft()
-        s = _capped(_int_s_poly(G[i], G[j], order), cap)
-        h = _int_mora(s, G, order, cap) if s else s
-        if h:
-            G.append(h)
-            pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
-    return G
-
-
-# -- capped completion -----------------------------------------------
-#
-# Dense input makes the full completion swell without bound, so the
-# Milnor count runs modulo all monomials beyond a degree cap.  Tails
-# past the cap are dropped everywhere; the result is a standard basis
-# of the ideal enlarged by those monomials.  When the staircase then
-# closes strictly below the cap the enlargement was invisible and the
-# count is exact, otherwise the cap was too small.
+            new.pop(k, None)
+    return new
 
 
 def _capped(d, cap):
@@ -220,22 +131,72 @@ def _capped(d, cap):
     return {e: c for e, c in d.items() if sum(e) <= cap}
 
 
-def _capped_milnor(int_gens, order, cap):
-    """Exact Milnor count below the cap, or None when inconclusive."""
-    G = _int_basis(int_gens, order, cap)
-    les = sorted({_int_leading(d, order)[0] for d in G})
-    les = [e for e in les if not any(o != e and _divides(o, e) for o in les)]
-    count = 0
-    top = 0
-    for a in range(cap + 1):
-        for b in range(cap + 1 - a):
-            if not any(_divides(o, (a, b)) for o in les):
-                count += 1
-                if a + b > top:
-                    top = a + b
-    if top > cap - 2:
-        return None
-    return count
+def _mora(h, basis, order, cap=None):
+    """Weak normal form of a coefficient dict; with a cap, terms of
+    total degree above it are dropped after every step."""
+    used = [_reducer(t, order) for t in basis]
+    if h:
+        h = _strip(h)
+    while h:
+        current = le, ecart, _ = _reducer(h, order)
+        divs = [r for r in used if _divides(r[0], le)]
+        if not divs:
+            return h
+        re, reducer_ecart, reducer = min(divs, key=lambda r: r[1])
+        if reducer_ecart > ecart:
+            used.append(current)
+        a, b = _multipliers(h[le], reducer[re])
+        shift = tuple(x - y for x, y in zip(le, re))
+        new = _capped(_combine(h, a, reducer, shift, b), cap)
+        h = _strip(new) if new else new
+    return h
+
+
+def _s_poly(f, g, order):
+    ef, cf = order.leading(f)
+    eg, cg = order.leading(g)
+    top = tuple(max(x, y) for x, y in zip(ef, eg))
+    a, b = _multipliers(cf, cg)
+    sf = tuple(t - x for t, x in zip(top, ef))
+    sg = tuple(t - x for t, x in zip(top, eg))
+    lifted = {tuple(x + s for x, s in zip(e, sf)): c for e, c in f.items()}
+    return _combine(lifted, a, g, sg, b)
+
+
+def _basis(gens, order, cap=None):
+    """Standard basis of coefficient dicts, by pairs in arrival order.
+
+    With a cap, every tail past it is dropped: the result is a standard
+    basis of the ideal enlarged by all monomials of degree above the cap.
+    """
+    G = [_strip(d) for d in (_capped(d, cap) for d in gens) if d]
+    pairs = deque((i, j) for i in range(len(G)) for j in range(i + 1, len(G)))
+    while pairs:
+        i, j = pairs.popleft()
+        s = _capped(_s_poly(G[i], G[j], order), cap)
+        h = _mora(s, G, order, cap) if s else s
+        if h:
+            G.append(h)
+            pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
+    return G
+
+
+def _staircase(les, cap):
+    """(count, top degree) of the monomials outside the staircase that
+    the leading exponents span together with every monomial of degree
+    above the cap."""
+    count = top = 0
+    height = cap + 1
+    for i in range(cap + 1):
+        height = min([height, cap + 1 - i] + [j for a, j in les if a == i])
+        if height == 0:
+            break
+        count += height
+        top = max(top, i + height - 1)
+    return count, top
+
+
+# -- public entry points ---------------------------------------------
 
 
 def mora_nf(g, basis, order):
@@ -245,103 +206,58 @@ def mora_nf(g, basis, order):
     generates locally, provided the basis is a standard basis.  The
     result is scaled arbitrarily; callers only use the ideal it spans.
     """
-    if not g.is_zero():
-        dg = _int_terms(g)
-        if dg is not None:
-            db = [_int_terms(b) for b in basis]
-            if all(d is not None for d in db):
-                return _int_poly(g.vars, _int_mora(dg, db, order))
-    h = _primitive(g)
-    used = list(basis)
-    while not h.is_zero():
-        le, lc = order.leading(h)
-        divs = [t for t in used if _divides(order.leading(t)[0], le)]
-        if not divs:
-            return h
-        reducer = min(divs, key=order.ecart)
-        if order.ecart(reducer) > order.ecart(h):
-            used.append(h)
-        re, rc = order.leading(reducer)
-        shift = tuple(a - b for a, b in zip(le, re))
-        h = _primitive(h - mono_mul(reducer, shift, lc / rc))
-    return h
-
-
-def _s_poly(f, g, order):
-    ef, cf = order.leading(f)
-    eg, cg = order.leading(g)
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    part_f = mono_mul(f, tuple(l - a for l, a in zip(lcm, ef)), 1 / cf)
-    part_g = mono_mul(g, tuple(l - a for l, a in zip(lcm, eg)), 1 / cg)
-    return part_f - part_g
+    if g.is_zero():
+        return g
+    dg, *db = _coeff_dicts([g, *basis])
+    return _poly(g.vars, _mora(dg, db, order))
 
 
 def standard_basis(gens, order):
     """Standard basis of the local ideal the generators span."""
     live = [g for g in gens if not g.is_zero()]
-    ints = [_int_terms(g) for g in live]
-    if all(d is not None for d in ints):
-        return [_int_poly(live[0].vars, d) for d in _int_basis(ints, order)]
-    G = [_primitive(g) for g in live]
-    pairs = deque((i, j) for i in range(len(G)) for j in range(i + 1, len(G)))
-    while pairs:
-        i, j = pairs.popleft()
-        h = mora_nf(_s_poly(G[i], G[j], order), G, order)
-        if not h.is_zero():
-            G.append(h)
-            pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
-    return G
+    return [_poly(live[0].vars, d) for d in _basis(_coeff_dicts(live), order)]
 
 
-def leading_exponents(basis, order):
-    """Pareto minimal leading exponents of a standard basis."""
-    les = sorted({order.leading(g)[0] for g in basis})
-    return [
-        e
-        for e in les
-        if not any(o != e and _divides(o, e) for o in les)
-    ]
+def _partials(f):
+    return _coeff_dicts([g for g in (diff(f, 0), diff(f, 1)) if not g.is_zero()])
 
 
-def staircase_count(les):
-    """Number of monomials outside the staircase; None when infinite."""
-    if not les:
+def milnor_number(f, last_cap=None):
+    """Milnor number of a two variable germ; None when not isolated.
+
+    The Jacobian ideal J is completed modulo the monomials past a cap,
+    on caps growing by half from 16 up to `last_cap`.  When the
+    staircase closes at least two degrees below the cap, m^(cap-1) lies
+    in J by Nakayama, the enlargement was invisible and the count is exact.
+    The default last cap (d-1)^2 + 2 for f of degree d decides every
+    germ: an isolated one has m^mu inside J and mu <= (d-1)^2 by
+    Bezout, so its staircase ends below degree (d-1)^2.  A caller that
+    accepts a count only when mu + 2 <= B loses nothing with last cap B:
+    such a staircase ends at degree mu - 1 <= B - 3.
+    """
+    gens = _partials(f)
+    if not gens:
         return None
-    if not any(j == 0 for _, j in les) or not any(i == 0 for i, _ in les):
-        return None
-    total = 0
-    i = 0
-    while True:
-        height = min(j for a, j in les if a <= i)
-        if height == 0:
-            return total
-        total += height
-        i += 1
-
-
-def milnor_number(f):
-    """Milnor number of a two variable germ; None when not isolated."""
-    fx, fy = diff(f, 0), diff(f, 1)
-    if fx.is_zero() and fy.is_zero():
-        return None
+    if last_cap is None:
+        last_cap = (f.total_degree() - 1) ** 2 + 2
     order = LocalOrder((1, 1))
-    gens = [g for g in (fx, fy) if not g.is_zero()]
-    ints = [_int_terms(g) for g in gens]
-    if all(d is not None for d in ints):
-        for cap in (16, 24, 36, 54, 80):
-            count = _capped_milnor(ints, order, cap)
-            if count is not None:
-                return count
-        return None
-    basis = standard_basis(gens, order)
-    return staircase_count(leading_exponents(basis, order))
+    cap = 16
+    while True:
+        cap = min(cap, last_cap)
+        basis = _basis(gens, order, cap)
+        count, top = _staircase([order.leading(d)[0] for d in basis], cap)
+        if top <= cap - 2:
+            return count
+        if cap == last_cap:
+            return None
+        cap += cap // 2
 
 
 def jacobian_leading_exponents(f, weight=(1, 1)):
     """Minimal leading exponents of the Jacobian ideal of a germ."""
     order = LocalOrder(weight)
-    basis = standard_basis([diff(f, 0), diff(f, 1)], order)
-    return leading_exponents(basis, order)
+    les = {order.leading(d)[0] for d in _basis(_partials(f), order)}
+    return sorted(e for e in les if not any(o != e and _divides(o, e) for o in les))
 
 
 # -- exact linear algebra --------------------------------------------

@@ -184,7 +184,7 @@ def split_germ(f):
             residual_terms[tuple(e[i] for i in range(rank, n))] = c
         names = ("x", "y")[:corank]
         residual = SparsePoly(names, residual_terms)
-        mu = _residual_milnor(residual, corank)
+        mu = _residual_milnor(residual, corank, bound)
         if mu is not None and mu + 2 <= bound:
             return SplitResult(corank, rank, residual, mu)
         if bound > cutoff:
@@ -192,7 +192,7 @@ def split_germ(f):
         bound *= 2
 
 
-def _residual_milnor(residual, corank):
+def _residual_milnor(residual, corank, bound):
     if corank == 0:
         return 1
     if corank == 1:
@@ -200,7 +200,7 @@ def _residual_milnor(residual, corank):
             return None
         k = min(e[0] for e in residual.terms)
         return k - 1
-    return milnor_number(residual)
+    return milnor_number(residual, bound)
 
 
 # -- straightening the lowest jet ------------------------------------

@@ -333,6 +333,22 @@ def test_non_isolated_rejected():
     assert exc.value.reason == "non-isolated"
 
 
+@pytest.mark.parametrize(
+    "text, vars",
+    [
+        ("x^2*y^2+x^2*y^3", ("x", "y")),
+        ("2*(x^2+3*y^3)^2", ("x", "y")),
+        ("x^2*y*(x+3*y)", ("x", "y")),
+        ("x^2+y^2*z^2", ("x", "y", "z")),
+        ("x^2+(y^2+z^3)^2", ("x", "y", "z")),
+    ],
+)
+def test_non_isolated_germs_rejected(text, vars):
+    with pytest.raises(Rejection) as exc:
+        classify(P(text, vars))
+    assert exc.value.reason == "non-isolated"
+
+
 def test_degenerate_quintic_jet_rejected():
     with pytest.raises(Rejection) as exc:
         classify(P("x^5 + y^5"))
@@ -349,6 +365,23 @@ def test_z_series_beyond_the_tables_rejected():
     with pytest.raises(Rejection) as exc:
         classify(P("x^3*y + x*y^7"))
     assert exc.value.reason == "modality>2"
+
+
+# -- long series -----------------------------------------------------
+
+
+def test_d_series_with_mu_past_80():
+    r = classify(P("x^2*y+y^80"))
+    assert r.name == "D_81"
+    assert r.mu == 81
+
+
+@pytest.mark.parametrize("k, name, mu", [(78, "J_3,69", 85), (79, "J_3,70", 86)])
+def test_j3p_series_with_mu_past_84(k, name, mu):
+    r = classify(P(f"x^3+x^2*y^3+y^{k}"))
+    assert r.name == name
+    assert r.mu == mu
+    assert rational_params(r) == {"a0": 1, "a1": 0}
 
 
 # -- result bookkeeping ----------------------------------------------

@@ -9,8 +9,8 @@ from arnoldnf.localalg import (
     mora_nf,
     standard_basis,
 )
-from arnoldnf.poly import parse_poly
-from arnoldnf.scalars import from_rational
+from arnoldnf.poly import SparsePoly, parse_poly, substitute
+from arnoldnf.scalars import QQ, adjoin_root, from_rational
 from milnor_oracle import brute_milnor
 
 
@@ -21,10 +21,10 @@ def P(text):
 def test_local_order_leading():
     order = LocalOrder((3, 2))
     f = P("4*x^3+4*x*y^3+y^5")
-    assert order.leading(f)[0] == (3, 0)
+    assert order.leading(f.terms)[0] == (3, 0)
     g = P("6*x^2*y^2+6*y^5+5*x*y^4")
-    assert order.leading(g)[0] == (2, 2)
-    assert LocalOrder((1, 1)).leading(P("1+x+y"))[0] == (0, 0)
+    assert order.leading(g.terms)[0] == (2, 2)
+    assert LocalOrder((1, 1)).leading(P("1+x+y").terms)[0] == (0, 0)
 
 
 def test_milnor_basics():
@@ -34,6 +34,8 @@ def test_milnor_basics():
     assert milnor_number(P("x^2+y^2")) == 1
     assert milnor_number(P("x^2*y^2")) is None
     assert milnor_number(P("x^3")) is None
+    # mu = 101 needs a cap past 100, which the Bezout cap of the degree gives
+    assert milnor_number(P("x^2*y+y^100")) == 101
 
 
 def test_milnor_brieskorn():
@@ -48,20 +50,37 @@ def test_milnor_quasihomogeneous_with_modulus():
     assert milnor_number(P("x^4+x^2*y^2+3*y^5")) == 10
 
 
+BRUTE_FORCE_CASES = [
+    "x^3+y^4",
+    "x^2*y+y^5",
+    "x^4+x^2*y^2+3*y^5",
+    "x^4-2*x^3*y+x^2*y^2+y^5",
+    "x^3+x^2*y^2+y^6",
+    "x^4+2*x^2*y^3+y^6+x*y^5",
+    "x^3+y^7+x*y^6",
+    "x^5+3*x^2*y^2+y^5",
+]
+
+
 def test_milnor_matches_brute_force():
-    cases = [
-        "x^3+y^4",
-        "x^2*y+y^5",
-        "x^4+x^2*y^2+3*y^5",
-        "x^4-2*x^3*y+x^2*y^2+y^5",
-        "x^3+x^2*y^2+y^6",
-        "x^4+2*x^2*y^3+y^6+x*y^5",
-        "x^3+y^7+x*y^6",
-        "x^5+3*x^2*y^2+y^5",
-    ]
-    for text in cases:
+    for text in BRUTE_FORCE_CASES:
         f = P(text)
         assert milnor_number(f) == brute_milnor(f), text
+
+
+def test_milnor_over_a_radical_tower():
+    # x -> sqrt(2)*x, y -> cbrt(3)*y, over one tower of degree 6
+    tower, r2 = adjoin_root(QQ, 2, 2)
+    tower, r3 = adjoin_root(tower, 3, 3)
+    images = {
+        "x": SparsePoly.monomial(("x", "y"), (1, 0), r2),
+        "y": SparsePoly.monomial(("x", "y"), (0, 1), r3),
+    }
+    for text in BRUTE_FORCE_CASES:
+        f = P(text)
+        g = substitute(f, images)
+        assert not all(c.is_rational() for c in g.terms.values()), text
+        assert milnor_number(g) == milnor_number(f), text
 
 
 def test_leading_exponents():
@@ -76,6 +95,16 @@ def test_mora_nf_unit_case():
     basis = standard_basis([P("x+x^2"), P("y")], order)
     # x + x^2 is a unit times x, so x itself must reduce to zero
     assert mora_nf(P("x"), basis, order).is_zero()
+
+
+def test_mora_nf_unit_case_over_a_tower():
+    order = LocalOrder((1, 1))
+    _, r2 = adjoin_root(QQ, 2, 2)
+    unit_x = P("x") + SparsePoly.monomial(("x", "y"), (2, 0), r2)
+    basis = standard_basis([unit_x, P("y")], order)
+    # x + sqrt(2)*x^2 is a unit times x, so x itself must reduce to zero
+    assert mora_nf(P("x"), basis, order).is_zero()
+    assert not mora_nf(P("1+x"), basis, order).is_zero()
 
 
 def test_linear_solve():

@@ -99,6 +99,14 @@ def test_split_non_isolated():
     assert res.mu is None
 
 
+def test_split_non_isolated_corank_two_residual():
+    # the residual is x^2*y^2 times a unit, so the line x = 0 is
+    # critical; the Milnor count at each bound stops at that bound
+    res = split_germ(P("x^2+x*y*z^2+x^3*z+y^2*z^2", ("x", "y", "z")))
+    assert res.corank == 2
+    assert res.mu is None
+
+
 # -- straightening the lowest jet ------------------------------------
 
 
