@@ -6,15 +6,24 @@ nonzero radicand in K_i.  Elements are dense coordinate vectors over the
 product basis g_0**e_0 * ... * g_{h-1}**e_{h-1}, 0 <= e_i < n_i, so the
 zero test and equality are exact coordinate checks.
 
+Arithmetic works one level at a time.  With K = K_{h-1}, an element of
+K_h = K[t]/(t**n - r) is n consecutive blocks of coordinates over K.  A
+product multiplies the nonzero blocks as polynomials in t, one level down,
+and folds t**(n+k) onto r*t**k.  An inverse solves the n x n system of
+multiplication by the element over K, inverting each pivot one level down.
+
 `adjoin_root` reuses radicals already present in the tower whenever it
 can spot them, so the common rescaling steps do not grow the tower
-needlessly.  It does not prove irreducibility of what it adjoins; a
-defective step would surface later as a non-invertible nonzero element,
-reported as `PipelineError`.
+needlessly: r has an n-th root c*m in the tower when r = c**n * m**n for
+a basis monomial m, which is read off the coordinates of m**n.  It does
+not prove irreducibility of what it adjoins; a defective step would
+surface later as a non-invertible nonzero element, reported as
+`PipelineError`.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 import mpmath
@@ -150,7 +159,7 @@ class AlgebraicScalar:
     @classmethod
     def make(cls, tower, coords):
         """Normalize: fractionize coordinates and drop unused top levels."""
-        coords = [Fraction(c) for c in coords]
+        coords = [c if type(c) is Fraction else Fraction(c) for c in coords]
         levels = list(tower.levels)
         while levels:
             width = len(coords) // levels[-1][0]
@@ -219,20 +228,21 @@ class AlgebraicScalar:
             raise ValueError("scalars live in incompatible extension towers")
         return self.promoted(t), other.promoted(t)
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         if (
             type(other) is AlgebraicScalar
             and not self.tower.levels
             and not other.tower.levels
         ):
-            return AlgebraicScalar(self.tower, (self.coords[0] + other.coords[0],))
+            return AlgebraicScalar(self.tower, (op(self.coords[0], other.coords[0]),))
         pair = self._pair(other)
         if pair is None:
             return NotImplemented
         a, b = pair
-        return AlgebraicScalar.make(
-            a.tower, [x + y for x, y in zip(a.coords, b.coords)]
-        )
+        return AlgebraicScalar.make(a.tower, list(map(op, a.coords, b.coords)))
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
@@ -240,102 +250,60 @@ class AlgebraicScalar:
         return AlgebraicScalar(self.tower, tuple(-c for c in self.coords))
 
     def __sub__(self, other):
-        if (
-            type(other) is AlgebraicScalar
-            and not self.tower.levels
-            and not other.tower.levels
-        ):
-            return AlgebraicScalar(self.tower, (self.coords[0] - other.coords[0],))
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return AlgebraicScalar.make(
-            a.tower, [x - y for x, y in zip(a.coords, b.coords)]
-        )
+        return self._combine(other, operator.sub)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
+    def _scaled(self, c):
+        """Product with a rational c; the support, hence the tower, stays."""
+        if not c:
+            return from_rational(0)
+        coords = tuple([c * x if x else x for x in self.coords])
+        return AlgebraicScalar(self.tower, coords)
+
     def __mul__(self, other):
-        if (
-            type(other) is AlgebraicScalar
-            and not self.tower.levels
-            and not other.tower.levels
-        ):
-            return AlgebraicScalar(self.tower, (self.coords[0] * other.coords[0],))
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        if a.tower.height == 0:
-            c = a.coords[0]
-            if not c:
-                return from_rational(0)
-            return AlgebraicScalar.make(b.tower, [c * y for y in b.coords])
-        if all(not c for c in b.coords[1:]):
-            c = b.coords[0]
-            if not c:
-                return from_rational(0)
-            return AlgebraicScalar.make(a.tower, [x * c for x in a.coords])
+        if type(other) is not AlgebraicScalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return self._scaled(other)
+        if not other.tower.levels:
+            if not self.tower.levels:
+                return AlgebraicScalar(self.tower, (self.coords[0] * other.coords[0],))
+            return self._scaled(other.coords[0])
+        if not self.tower.levels:
+            return other._scaled(self.coords[0])
+        a, b = (self, other) if self.tower == other.tower else self._pair(other)
         tower = a.tower
-        raw = {}
-        for ea, ca in a.iter_terms():
-            for eb, cb in b.iter_terms():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                raw[e] = raw.get(e, _ZERO) + ca * cb
-        reduced = _reduce_terms(tower, raw)
-        coords = [_ZERO] * tower.degree
-        for exps, c in reduced.items():
-            if c:
-                coords[_index_of(tower, exps)] += c
-        return AlgebraicScalar.make(tower, coords)
+        return AlgebraicScalar.make(
+            tower, _mul_coords(tower.levels, tower.height, a.coords, b.coords)
+        )
 
     __rmul__ = __mul__
 
     def inverted(self):
-        if self.tower.height == 0:
-            if not self.coords[0]:
-                raise ZeroDivisionError("division by zero scalar")
-            return from_rational(1 / self.coords[0])
+        if self.is_zero():
+            raise ZeroDivisionError("division by zero scalar")
         tower = self.tower
-        d = tower.degree
-        cols = []
-        for j in range(d):
-            basis = AlgebraicScalar(
-                tower, tuple(_ONE if i == j else _ZERO for i in range(d))
-            )
-            cols.append((self * basis).promoted(tower).coords)
-        rows = [[cols[j][i] for j in range(d)] for i in range(d)]
-        rhs = [_ONE] + [_ZERO] * (d - 1)
-        sol = _solve_square(rows, rhs)
-        if sol is None:
-            if self.is_zero():
-                raise ZeroDivisionError("division by zero scalar")
-            raise PipelineError(
-                "defective tower: nonzero scalar has no inverse"
-            )
-        return AlgebraicScalar.make(tower, sol)
+        if tower.height == 0:
+            return from_rational(1 / self.coords[0])
+        return AlgebraicScalar.make(
+            tower, _inv_coords(tower.levels, tower.height, self.coords)
+        )
 
     def __truediv__(self, other):
-        if (
-            type(other) is AlgebraicScalar
-            and not self.tower.levels
-            and not other.tower.levels
-        ):
-            if not other.coords[0]:
-                raise ZeroDivisionError("division by zero scalar")
-            return AlgebraicScalar(self.tower, (self.coords[0] / other.coords[0],))
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        if all(not c for c in b.coords[1:]):
-            c = b.coords[0]
-            if not c:
-                raise ZeroDivisionError("division by zero scalar")
-            return AlgebraicScalar.make(a.tower, [x / c for x in a.coords])
-        return a * b.inverted()
+        if type(other) is not AlgebraicScalar:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = from_rational(other)
+        if other.tower.levels:
+            return self * other.inverted()
+        c = other.coords[0]
+        if not c:
+            raise ZeroDivisionError("division by zero scalar")
+        if not self.tower.levels:
+            return AlgebraicScalar(self.tower, (self.coords[0] / c,))
+        return self._scaled(1 / c)
 
     def __rtruediv__(self, other):
         return from_rational(other) / self
@@ -358,56 +326,92 @@ class AlgebraicScalar:
 
 
 def from_rational(q):
-    return AlgebraicScalar(QQ, (Fraction(q),))
+    return AlgebraicScalar(QQ, (q if type(q) is Fraction else Fraction(q),))
 
 
-def _index_of(tower, exps):
-    return sum(e * s for e, s in zip(exps, tower.strides))
+def _mul_coords(levels, h, a, b):
+    """Product of two coordinate vectors over the first h levels.
 
-
-def _reduce_terms(tower, terms):
-    """Fold exponent overflow level by level, top level first.
-
-    Replacing g_i**n_i by its radicand only touches levels below i, so a
-    single downward sweep leaves every exponent in range.
+    An element of K[t]/(t**n - r) is n blocks over K.  The blocks are
+    multiplied as polynomials in t, skipping zero blocks, one level down,
+    and t**(n+k) folds onto r*t**k.
     """
-    for lev in range(tower.height - 1, -1, -1):
-        n, rad = tower.levels[lev]
-        folded = {}
-        for exps, c in terms.items():
-            e = exps[lev]
-            if e < n:
-                folded[exps] = folded.get(exps, _ZERO) + c
-                continue
-            k, rem = divmod(e, n)
-            base = list(exps)
-            base[lev] = rem
-            for pexps, pc in (rad ** k).iter_terms():
-                ne = list(base)
-                for j, pe in enumerate(pexps):
-                    ne[j] += pe
-                key = tuple(ne)
-                folded[key] = folded.get(key, _ZERO) + c * pc
-        terms = folded
-    return terms
+    if h == 0:
+        return [a[0] * b[0]]
+    n, rad = levels[h - 1]
+    if h == 1:
+        acc = [_ZERO] * (2 * n)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        acc[i + j] += x * y
+        r = rad.coords[0]
+        return [u + r * v if v else u for u, v in zip(acc, acc[n:])]
+    w = len(a) // n
+    bblocks = [(j, b[j * w:(j + 1) * w]) for j in range(n)]
+    bblocks = [(j, y) for j, y in bblocks if any(y)]
+    acc = [None] * (2 * n - 1)
+    for i in range(n):
+        x = a[i * w:(i + 1) * w]
+        if any(x):
+            for j, y in bblocks:
+                p = _mul_coords(levels, h - 1, x, y)
+                q = acc[i + j]
+                acc[i + j] = p if q is None else list(map(operator.add, q, p))
+    for k in range(n, 2 * n - 1):
+        if acc[k] is not None:
+            p, q = _times(levels, h - 1, rad, acc[k]), acc[k - n]
+            acc[k - n] = p if q is None else list(map(operator.add, q, p))
+    return [c for block in acc[:n] for c in (block or [_ZERO] * w)]
 
 
-def _solve_square(rows, rhs):
-    """Gaussian elimination over Fraction; None if the matrix is singular."""
-    d = len(rows)
-    m = [list(rows[i]) + [rhs[i]] for i in range(d)]
-    for col in range(d):
-        pivot = next((r for r in range(col, d) if m[r][col]), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        for r in range(d):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[i][d] for i in range(d)]
+def _times(levels, h, s, v):
+    """The scalar s, kept over a prefix of the first h levels, times the
+    coordinate vector v over them."""
+    if len(s.coords) == 1:
+        c = s.coords[0]
+        return [c * x if x else x for x in v]
+    return _mul_coords(levels, h, s.coords + (_ZERO,) * (len(v) - len(s.coords)), v)
+
+
+def _inv_coords(levels, h, a):
+    """Inverse of a nonzero coordinate vector over the first h levels:
+    Gauss-Jordan on the n x n matrix over K of multiplication by a, each
+    pivot inverted one level down.  A column without a nonzero pivot
+    means a is a zero divisor: the tower is defective."""
+    if h == 0:
+        return [1 / a[0]]
+    n, rad = levels[h - 1]
+    w = len(a) // n
+    blocks = [a[i * w:(i + 1) * w] for i in range(n)]
+    zero = [_ZERO] * w
+    if not any(map(any, blocks[1:])):
+        return _inv_coords(levels, h - 1, blocks[0]) + zero * (n - 1)
+    # column j holds a*t**j, whose block i is a_(i-j), or r*a_(i-j+n)
+    # once the power of t wraps; column n is the right-hand side 1
+    wrapped = [None] + [_times(levels, h - 1, rad, x) for x in blocks[1:]]
+    rows = [
+        [blocks[i - j] if i >= j else wrapped[i - j + n] for j in range(n)]
+        + [[_ONE] + zero[1:] if i == 0 else zero]
+        for i in range(n)
+    ]
+    for col in range(n):
+        piv = next((i for i in range(col, n) if any(rows[i][col])), None)
+        if piv is None:
+            raise PipelineError("defective tower: nonzero scalar has no inverse")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        inv = _inv_coords(levels, h - 1, rows[col][col])
+        prow = [_mul_coords(levels, h - 1, inv, x) for x in rows[col][col + 1:]]
+        rows[col][col + 1:] = prow
+        for i in range(n):
+            f = rows[i][col]
+            if i != col and any(f):
+                rows[i][col + 1:] = [
+                    list(map(operator.sub, x, _mul_coords(levels, h - 1, f, y)))
+                    for x, y in zip(rows[i][col + 1:], prow)
+                ]
+    return [c for row in rows for c in row[n]]
 
 
 # -- adjunction ------------------------------------------------------
@@ -415,33 +419,28 @@ def _solve_square(rows, rhs):
 
 def _root_in_tower(tower, n, r):
     """An n-th root of r among rational multiples of basis monomials, or
-    None.  Never extends the tower."""
+    None.  Never extends the tower.  Whether r = c*m**n with c rational is
+    read off the coordinates of m**n, without dividing."""
     if r.is_rational():
         root = rational_nth_root(r.as_fraction(), n)
         if root is not None:
             return from_rational(root)
+    target = r.promoted(tower).coords
     for idx in range(1, tower.degree):
-        exps = tower.exps_of(idx)
         coords = [_ZERO] * tower.degree
         coords[idx] = _ONE
         mono = AlgebraicScalar.make(tower, coords)
-        power = (mono ** n).promoted(tower)
-        try:
-            ratio = r.promoted(tower) / power
-        except (ZeroDivisionError, PipelineError):
+        power = (mono ** n).promoted(tower).coords
+        lead = next((k for k, p in enumerate(power) if p), None)
+        if lead is None:
             continue
-        if not ratio.is_rational():
+        ratio = target[lead] / power[lead]
+        if any(t != ratio * p for t, p in zip(target, power)):
             continue
-        c = rational_nth_root(ratio.as_fraction(), n)
+        c = rational_nth_root(ratio, n)
         if c is not None:
             return mono * c
     return None
-
-
-def _proper_divisors_desc(n):
-    divs = [d for d in range(2, n) if n % d == 0]
-    divs.sort(reverse=True)
-    return divs
 
 
 def adjoin_root(tower, n, radicand):
@@ -458,7 +457,7 @@ def adjoin_root(tower, n, radicand):
     found = _root_in_tower(tower, n, r)
     if found is not None:
         return tower, found
-    for m in _proper_divisors_desc(n):
+    for m in sorted((d for d in range(2, n) if n % d == 0), reverse=True):
         rho = _root_in_tower(tower, m, r)
         if rho is not None:
             return adjoin_root(tower, n // m, rho)

@@ -1,4 +1,8 @@
 import json
+from fractions import Fraction
+
+import mpmath
+import pytest
 
 from arnoldnf.cli import equation_string, main, normal_form_string
 from arnoldnf.classify import classify
@@ -212,3 +216,52 @@ def test_equation_string_round_trip_identity():
     assert [(n, str(v)) for n, v in back.parameters] == [
         (n, str(v)) for n, v in r.parameters
     ]
+
+
+# -- X_9 germs whose modulus needs a tall tower ----------------------
+
+
+def _tower_value(payload):
+    """Complex value of a scalar payload under one embedding of its
+    tower: each generator is the principal root of its radicand."""
+    gens, strides, stride = [], [], 1
+    for step in payload["tower"]:
+        radicand = mpmath.mpc(_tower_value(step["radicand"]))
+        gens.append(mpmath.root(radicand, step["index"]))
+        strides.append(stride)
+        stride *= step["index"]
+    total = mpmath.mpc(0)
+    for idx, c in enumerate(payload["coeffs"]):
+        c = Fraction(c)
+        if c:
+            term = mpmath.mpf(c.numerator) / c.denominator
+            for g, s, step in zip(gens, strides, payload["tower"]):
+                term *= g ** ((idx // s) % step["index"])
+            total += term
+    return total
+
+
+@pytest.mark.parametrize(
+    "poly, ratio",
+    [
+        ("x^4+x*y^3+y^4", Fraction(64, 229)),
+        ("-3/2*x^4+x*y^3+y^4-1/2*x^2*y^3+2*x^7*y^2", Fraction(32, 137)),
+    ],
+)
+def test_x9_modulus_in_a_tall_tower(poly, ratio, capsys):
+    # The returned a lives in a tower of degree 384.
+    # Any conjugate of a is as good as a, so the check is the quartic
+    # ratio I^3/(4*I^3 - J^2) of x^4 + a*x^2*y^2 + y^4, a rational
+    # invariant that must equal the input's.
+    code, out, _ = run(["--json", "--", poly], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["type"], payload["mu"]) == ("X_9", 9)
+    (entry,) = payload["parameters"]
+    with mpmath.workdps(60):
+        a = _tower_value(entry)
+        i = 12 + a ** 2
+        j = 72 * a - 2 * a ** 3
+        got = i ** 3 / (4 * i ** 3 - j ** 2)
+        want = mpmath.mpf(ratio.numerator) / ratio.denominator
+        assert abs(got - want) < mpmath.mpf(10) ** -40

@@ -7,6 +7,7 @@ from arnoldnf.errors import PipelineError
 from arnoldnf.scalars import (
     QQ,
     AlgebraicScalar,
+    FieldTower,
     adjoin_root,
     approximate,
     format_scalar,
@@ -141,10 +142,37 @@ def test_cross_tower_promotion():
 def test_defective_tower_detected_on_inversion():
     # Forcing a redundant quadratic step by hand: x^2 - 4 splits, so the
     # "extension" has zero divisors and (g - 2) cannot be inverted.
-    bad = QQ.extended(2, from_rational(4))
+    bad = FieldTower(((2, from_rational(4)),))
     g = bad.generator(0)
+    assert not (g - 2).is_zero()
     with pytest.raises(PipelineError):
         (g - 2).inverted()
+    with pytest.raises(ZeroDivisionError):
+        (g - g).inverted()
+    with pytest.raises(ZeroDivisionError):
+        AlgebraicScalar(bad, (Fraction(0), Fraction(0))).inverted()
+
+
+def test_defective_tower_detected_at_height_two():
+    # the split step on top of a genuine one: g2 - 2 is a zero divisor
+    # of the top level
+    _, r2 = adjoin_root(QQ, 2, 2)
+    top = r2.tower.extended(2, from_rational(4))
+    g2 = top.generator(1)
+    with pytest.raises(PipelineError):
+        (g2 - 2).inverted()
+    with pytest.raises(PipelineError):
+        ((g2 - 2) * (r2 + 1)).inverted()
+    # the split step below a genuine one: the top-level elimination meets
+    # the zero divisor g1 - 2 as its pivot, and inverting that fails one
+    # level down
+    low = FieldTower(((2, from_rational(4)), (2, from_rational(3))))
+    g1, g2 = low.generator(0), low.generator(1)
+    with pytest.raises(PipelineError):
+        ((g1 - 2) * g2).inverted()
+    assert ((g1 + 1) * g2).inverted() * (g1 + 1) * g2 == 1
+    with pytest.raises(ZeroDivisionError):
+        AlgebraicScalar(low, (Fraction(0),) * 4).inverted()
 
 
 def test_approximate_rational():
@@ -191,3 +219,123 @@ def test_zero_and_trim():
     assert z.is_zero() and z.is_rational()
     back = (c ** 3) * Fraction(1, 2)
     assert back.is_rational() and back.as_fraction() == 1
+
+
+# -- level-wise arithmetic against the dense basis reference ----------
+
+
+def _reference_product(a, b):
+    """The product by exponent tuples: multiply every pair of terms, then
+    fold g_i**n_i onto its radicand level by level, top level first."""
+    tower = a.tower if a.tower.height >= b.tower.height else b.tower
+    terms = {}
+    for ea, ca in a.promoted(tower).iter_terms():
+        for eb, cb in b.promoted(tower).iter_terms():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            terms[e] = terms.get(e, 0) + ca * cb
+    for lev in range(tower.height - 1, -1, -1):
+        n, rad = tower.levels[lev]
+        folded = {}
+        for exps, c in terms.items():
+            k, rem = divmod(exps[lev], n)
+            if not k:
+                folded[exps] = folded.get(exps, 0) + c
+                continue
+            for pexps, pc in _reference_power(rad, k).iter_terms():
+                e = list(exps)
+                e[lev] = rem
+                for j, pe in enumerate(pexps):
+                    e[j] += pe
+                folded[tuple(e)] = folded.get(tuple(e), 0) + c * pc
+        terms = folded
+    coords = [Fraction(0)] * tower.degree
+    for exps, c in terms.items():
+        coords[sum(e * s for e, s in zip(exps, tower.strides))] += c
+    return AlgebraicScalar.make(tower, coords)
+
+
+def _reference_power(a, k):
+    result = from_rational(1)
+    for _ in range(k):
+        result = _reference_product(result, a)
+    return result
+
+
+def _reference_inverse(a):
+    """Solve a*x = 1 as a dense d x d system over Q, whose columns are
+    the products of a with the basis monomials."""
+    tower = a.tower
+    d = tower.degree
+    cols = []
+    for j in range(d):
+        basis = AlgebraicScalar.make(tower, [Fraction(i == j) for i in range(d)])
+        cols.append(_reference_product(a, basis).promoted(tower).coords)
+    m = [[cols[j][i] for j in range(d)] + [Fraction(i == 0)] for i in range(d)]
+    for col in range(d):
+        pivot = next(r for r in range(col, d) if m[r][col])
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(d):
+            if r != col and m[r][col]:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return AlgebraicScalar.make(tower, [m[i][d] for i in range(d)])
+
+
+def _towers():
+    sqrt2 = adjoin_root(QQ, 2, 2)[0]
+    t = adjoin_root(QQ, 4, 2)[0]
+    x9 = adjoin_root(t, 4, Fraction(1, 3))[0]
+    _, r2 = adjoin_root(QQ, 2, 2)
+    nested = adjoin_root(r2.tower, 2, r2 + 1)[0]
+    gauss, rho = adjoin_root(QQ, 4, -4 * Fraction(3, 2) ** 4)
+    over_i = adjoin_root(gauss, 3, rho + 2)[0]
+    t = adjoin_root(QQ, 2, 3)[0]
+    t = adjoin_root(t, 4, 5)[0]
+    t, s = adjoin_root(t, 2, t.generator(0) + 2)
+    big = adjoin_root(t, 2, s - 1)[0]
+    return {
+        "sqrt2": sqrt2,
+        "x9": x9,
+        "nested": nested,
+        "gauss": gauss,
+        "over_i": over_i,
+        "deg32": big,
+    }
+
+
+TOWERS = _towers()
+
+
+def test_reference_towers_have_the_intended_shape():
+    assert [t.degree for t in TOWERS.values()] == [2, 16, 4, 2, 6, 32]
+    assert TOWERS["gauss"].levels[0][1] == -1
+    assert not TOWERS["nested"].levels[1][1].is_rational()
+    assert not TOWERS["over_i"].levels[1][1].is_rational()
+
+
+@pytest.mark.parametrize("name", sorted(TOWERS))
+def test_levelwise_product_and_inverse_match_dense_reference(name):
+    tower = TOWERS[name]
+    rng = random.Random(f"scalars:{name}")
+    samples = 6 if tower.degree < 32 else 2
+
+    def element(over):
+        coords = [
+            Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < 0.6 else 0
+            for _ in range(over.degree)
+        ]
+        coords[rng.randrange(over.degree)] = Fraction(rng.randint(1, 5))
+        return AlgebraicScalar.make(over, coords)
+
+    for _ in range(samples):
+        a, b = element(tower), element(tower)
+        low = element(tower.prefix(rng.randrange(tower.height)))
+        assert (a * b).coords == _reference_product(a, b).coords
+        assert a * b == _reference_product(a, b)
+        assert a * low == _reference_product(a, low)
+        assert low * a == a * low
+        inv = a.inverted()
+        assert inv == _reference_inverse(a)
+        assert a * inv == 1
+        assert (a * low) * low.inverted() == a

@@ -3,11 +3,16 @@
 `perfbench/tracer.py` looks each name in ENTRY_POINTS up with getattr
 when a traced run starts, so renaming or deleting one of them breaks
 `perfbench/run.py --trace 1` without failing any classifier test.  This
-loads the tracer by path, without running it, and checks every name.
+loads the tracer by path and checks every name, then runs it once on a
+germ whose reduction works over a radical tower.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -32,3 +37,46 @@ def test_tracer_entry_points_resolve():
     assert not missing, missing
     scalars = importlib.import_module("arnoldnf.scalars")
     assert callable(scalars.AlgebraicScalar.inverted)
+
+
+TRACED_RUN = """
+import contextlib, importlib.util, io, json, sys
+import arnoldnf.cli as cli
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+tracer = module.Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["--json", "--", sys.argv[2]])
+print(json.dumps({
+    "code": code,
+    "type": json.loads(out.getvalue())["type"],
+    "tower_mul": tracer.tower_mul,
+    "calls": dict(tracer.calls),
+    "tower_degree_max": tracer.tower_degree_max,
+}))
+"""
+
+
+def test_tracer_counts_tower_arithmetic():
+    # The tracer replaces AlgebraicScalar.__mul__/__rmul__ and .inverted
+    # and reads the degree of what adjoin_root returns; it installs itself
+    # on the classes, so it runs in its own interpreter.  The face cubic
+    # x^3 - 2/3*x*Y^2 + Y^3, Y = y^2, has its critical points in Q(sqrt 2).
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(TRACER), "x^3-2/3*x*y^4+y^6"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    seen = json.loads(done.stdout.splitlines()[-1])
+    assert (seen["code"], seen["type"]) == (0, "J_10")
+    assert seen["tower_mul"] > 0
+    assert seen["calls"].get("scalars.inverted", 0) > 0
+    assert seen["calls"].get("scalars.adjoin_root", 0) > 0
+    assert seen["tower_degree_max"] >= 2
