@@ -74,6 +74,9 @@ class Result:
     up to the finite symmetries of the family's normal form: for E_18,
     y -> -y takes x^3+y^10+a0*x*y^7+a1*x*y^8 to the same form with a0
     negated, so right equivalent germs may come back with a0 and -a0.
+    For X_9, x -> i*x sends a to -a, and the other two pairings of the
+    roots of the quartic jet give (12-2*a)/(2+a) and (12+2*a)/(2-a); a
+    jet that is not even comes back with one member of this orbit.
     """
 
     __slots__ = (

@@ -132,48 +132,58 @@ def uni_yun(f):
 # -- rational root search --------------------------------------------
 
 
-def _divisors(n):
-    n = abs(n)
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return small + large[::-1]
+def _sign_at(q, y):
+    acc = 0
+    for c in reversed(q):
+        acc = acc * y + c
+    return (acc > 0) - (acc < 0)
+
+
+def _root_floors(q):
+    """Integers k such that every integer root of the integer polynomial
+    q (ascending coefficients), and every real root where q changes
+    sign, lies in some [k, k + 1].  Fujiwara's bound |root| <= 2 * max
+    |q[i] / q[n]|**(1 / (n - i)) bounds the search; marks k, k + 1 for
+    the k of q' cut it into pieces on which q is monotone, and bisection
+    finds the root each piece longer than 1 may hold."""
+    if len(q) < 2:
+        return set()
+    n, top = len(q) - 1, abs(q[-1]).bit_length()
+    e = max((abs(c).bit_length() - top + k) // k for k, c in zip(range(n, 0, -1), q))
+    bound = 2 ** (1 + max(e, 0)) + 1
+    marks = {-bound, bound}
+    for k in _root_floors([i * c for i, c in enumerate(q)][1:]):
+        marks.update((k, k + 1))
+    marks = sorted(m for m in marks if abs(m) <= bound)
+    signs = [_sign_at(q, m) for m in marks]
+    out = {m for m, s in zip(marks, signs) if not s}
+    for lo, hi, s, t in zip(marks, marks[1:], signs, signs[1:]):
+        if hi - lo > 1 and s * t >= 0:
+            continue
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if _sign_at(q, mid) == s else (lo, mid)
+        out.add(lo)
+    return out
 
 
 def rational_roots(coeffs):
-    """All rational roots of a polynomial with rational coefficients."""
+    """All rational roots of a polynomial with rational coefficients.
+
+    Scaled to integer coefficients with leading coefficient L, a root a/b
+    in lowest terms has b | L, so L*a/b is an integer root of the monic
+    Q(y) = L**(n-1) * P(y/L), found among the root floors of Q."""
     coeffs = uni_make(coeffs)
     if not all(c.is_rational() for c in coeffs):
         raise ValueError("rational root search needs rational coefficients")
-    fracs = [c.as_fraction() for c in coeffs]
-    roots = []
-    while fracs and fracs[0] == 0:
-        if 0 not in roots:
-            roots.append(Fraction(0))
-        fracs = fracs[1:]
-    if len(fracs) <= 1:
-        return sorted(roots)
-    den = math.lcm(*[f.denominator for f in fracs])
-    ints = [int(f * den) for f in fracs]
-    lead, const = ints[-1], ints[0]
-    seen = set(roots)
-    for a in _divisors(const):
-        for b in _divisors(lead):
-            for cand in (Fraction(a, b), Fraction(-a, b)):
-                if cand in seen:
-                    continue
-                value = Fraction(0)
-                for c in reversed(ints):
-                    value = value * cand + c
-                if value == 0:
-                    seen.add(cand)
-                    roots.append(cand)
-    return sorted(set(roots))
+    if len(coeffs) <= 1:
+        return []
+    den = math.lcm(*[c.as_fraction().denominator for c in coeffs])
+    ints = [int(c.as_fraction() * den) for c in coeffs]
+    n, lead = len(ints) - 1, ints[-1]
+    q = [c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
+    ys = {y for k in _root_floors(q) for y in (k, k + 1) if not _sign_at(q, y)}
+    return sorted(Fraction(y, lead) for y in ys)
 
 
 # -- radical roots of low degree polynomials -------------------------

@@ -145,9 +145,6 @@ class SparsePoly:
             result = result * self
         return result
 
-    def scaled(self, c):
-        return self.__mul__(c)
-
 
 def diff(f, var):
     """Partial derivative with respect to a variable name or index."""
@@ -201,10 +198,6 @@ def wlayer(f, weights, d):
         f.vars,
         {e: c for e, c in f.terms.items() if weight_value(weights, e) == d},
     )
-
-
-def drop_above(f, weights, bound):
-    return wjet(f, weights, bound)
 
 
 def mul_trunc(a, b, weights, bound):

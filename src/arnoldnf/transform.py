@@ -1,10 +1,11 @@
-"""Coordinate changes that drive a germ toward its normal form.
+"""Exact steps that drive a germ toward its normal form.
 
-Everything here is an exact substitution: linear changes straightening
-a lowest jet, shears generated by the Jacobian that empty a graded
-layer, square completion behind the splitting of the quadratic part,
-and variable rescalings that set marked coefficients to one.  Each
-transformation keeps the germ right equivalent to the input.
+Most are substitutions that keep the germ right equivalent to the
+input: linear changes straightening a lowest jet, shears generated by
+the Jacobian that empty a graded layer, square completion behind the
+splitting of the quadratic part, and rescalings that set marked
+coefficients to one.  `even_quartic_form` instead reads the X_9 normal
+form off the quartic jet, to which such a germ is right equivalent.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .poly import (
     SparsePoly,
     as_weights,
     diff,
-    drop_above,
     mul_trunc,
     substitute,
     term_sort_key,
@@ -427,7 +427,7 @@ def graded_ladder(f, weights, d, dprime, allowed_above):
     """
     weights = as_weights(weights)
     f0 = wlayer(f, weights, d)
-    current = drop_above(f, weights, dprime)
+    current = wjet(f, weights, dprime)
     levels = sorted(
         {
             weight_value(weights, e)
@@ -475,7 +475,7 @@ def absorb_above(f, weights, level, allowed, bound):
     # the truncation bound sits one past the determinacy degree, so a
     # term of ordinary degree equal to the bound can simply be dropped
     cut = bound - 1
-    f = drop_above(f, ordinary, cut)
+    f = wjet(f, ordinary, cut)
     allowed = {tuple(e) for e in allowed}
     base = wjet(f, weights, level)
     table = None
@@ -654,7 +654,7 @@ class _ColumnTable:
             floor = self._floor(var_index, u)
             if floor <= self.j:
                 continue
-            prod = drop_above(
+            prod = wjet(
                 mono_mul(self.partials[var_index], u, 1), ordinary, self.cut
             )
             made = self._reduce(prod, {(var_index, u): one})
@@ -864,96 +864,51 @@ def kill_face_middle(f, exps3, exps2, exps1, sub_power, bound):
 # -- even quartic reduction ------------------------------------------
 
 
-def _depress_quartic(coeffs):
-    c0, c1, c2, c3, _ = [c / coeffs[4] for c in coeffs]
-    shift = c3 / 4
-    p = c2 - 6 * shift ** 2
-    q = c1 - 2 * c2 * shift + 8 * shift ** 3
-    r = c0 - c1 * shift + c2 * shift ** 2 - 3 * shift ** 4
-    return shift, p, q, r
-
-
-def _quartic_pairing(tower, coeffs):
-    """Split a squarefree quartic with nonzero end coefficients into
-    two monic quadratics over a radical extension of the tower."""
-    shift, p, q, r = _depress_quartic(coeffs)
-    if q.is_zero():
-        tower, roots = quadratic_roots(tower, from_rational(1), -p, r)
-        alpha, beta = roots
-        q1 = [alpha, from_rational(0), from_rational(1)]
-        q2 = [beta, from_rational(0), from_rational(1)]
-    else:
-        resolvent = uni_make([-(q * q), p * p - 4 * r, 2 * p, from_rational(1)])
-        tower, zstar = cubic_root(tower, resolvent)
-        tower, w = adjoin_root(tower, 2, zstar)
-        s1 = (p + zstar - q / w) / 2
-        s2 = (p + zstar + q / w) / 2
-        q1 = [s1, w, from_rational(1)]
-        q2 = [s2, -w, from_rational(1)]
-
-    def unshift(quad):
-        c0, c1, c2 = quad
-        return [
-            c0 + c1 * shift + c2 * shift ** 2,
-            c1 + 2 * c2 * shift,
-            c2,
-        ]
-
-    return tower, unshift(q1), unshift(q2)
+def _quartic_invariants(coeffs):
+    """The invariants I, J of c0*y^4 + c1*x*y^3 + ... + c4*x^4, scaled so
+    that x^4 + a*x^2*y^2 + y^4 has I = 12 + a^2 and J = a*(72 - 2*a^2)."""
+    c0, c1, c2, c3, c4 = coeffs
+    i = 12 * c0 * c4 - 3 * c1 * c3 + c2 * c2
+    j = 72 * c0 * c2 * c4 + 9 * c1 * c2 * c3 - 2 * c2 ** 3
+    return i, j - 27 * (c4 * c1 * c1 + c0 * c3 * c3)
 
 
 def even_quartic_form(g, bound):
-    """Linear change making the degree 4 jet an even quartic
-    a*x^4 + b*x^2*y^2 + c*y^4 with nonzero ends.
+    """The normal form x^4 + a*x^2*y^2 + y^4 of a germ whose quartic jet
+    has four distinct roots; such a germ is right equivalent to its jet.
 
-    The jet must have four distinct roots.  Shears first expose both
-    pure fourth powers, the quartic then splits into two quadratics
-    whose pencil is diagonalized simultaneously.
+    With its x^4 end exposed by a shear, the jet depresses to
+    t^4 + p*t^2 + q*t + r in t = x/y.  A root z of the resolvent
+    z^3 + 2*p*z^2 + (p^2 - 4*r)*z - q^2, or z = 0 when q = 0, pairs the
+    roots into quadratics A and B, and with units on the axes of their
+    pencil a = mixed(A, B) / sqrt(det A * det B), where mixed(A, B) =
+    p + 3*z/2 and det A * det B = (16*r - 4*p*z - 3*z^2)/16.  An even
+    jet with unit ends keeps its middle coefficient.  The result passes
+    the exact check I^3 * J(a)^2 == J^2 * I(a)^3 against the jet.
     """
     jet = wlayer(g, (1, 1), 4)
     if jet.coeff((4, 0)).is_zero():
-        g, _ = expose_end(g, jet, 1, (1, 0), bound)
-        jet = wlayer(g, (1, 1), 4)
-    if jet.coeff((0, 4)).is_zero():
-        g, _ = expose_end(g, jet, 0, (0, 1), bound)
-        jet = wlayer(g, (1, 1), 4)
+        jet, _ = expose_end(jet, jet, 1, (1, 0), bound)
     coeffs = [jet.coeff((k, 4 - k)) for k in range(5)]
+    c0, c1, c2, c3, _ = [c / coeffs[4] for c in coeffs]
+    s = c3 / 4
+    p = c2 - 6 * s ** 2
+    q = c1 - 2 * c2 * s + 8 * s ** 3
+    r = c0 - c1 * s + c2 * s ** 2 - 3 * s ** 4
     tower = _tower_of(jet)
-    tower, q1, q2 = _quartic_pairing(tower, coeffs)
-    lead = coeffs[4]
-    prod = [from_rational(0)] * 5
-    for i in range(3):
-        for j in range(3):
-            prod[i + j] = prod[i + j] + q1[i] * q2[j] * lead
-    if uni_make(prod) != uni_make(coeffs):
-        raise PipelineError("quartic pairing failed verification")
-    m1 = [[q1[2], q1[1] / 2], [q1[1] / 2, q1[0]]]
-    m2 = [[q2[2], q2[1] / 2], [q2[1] / 2, q2[0]]]
-    mixed = m1[0][0] * m2[1][1] + m1[1][1] * m2[0][0] - 2 * m1[0][1] * m2[0][1]
-    det1 = m1[0][0] * m1[1][1] - m1[0][1] * m1[0][1]
-    det2 = m2[0][0] * m2[1][1] - m2[0][1] * m2[0][1]
-    tower, lams = quadratic_roots(tower, det2, -mixed, det1)
-    vecs = []
-    for lam in lams:
-        r00 = m1[0][0] - lam * m2[0][0]
-        r01 = m1[0][1] - lam * m2[0][1]
-        r11 = m1[1][1] - lam * m2[1][1]
-        if not r00.is_zero():
-            vecs.append((-r01 / r00, from_rational(1)))
-        elif not r11.is_zero():
-            vecs.append((from_rational(1), -r01 / r11))
-        else:
-            raise PipelineError("pencil member vanished identically")
-    rows = [[vecs[0][0], vecs[1][0]], [vecs[0][1], vecs[1][1]]]
-    detv = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if detv.is_zero():
-        raise PipelineError("pencil directions are dependent")
-    g2 = apply_linear(g, rows, bound)
-    jet2 = wlayer(g2, (1, 1), 4)
-    bad = [e for e in jet2.terms if e not in {(4, 0), (2, 2), (0, 4)}]
-    if bad or jet2.coeff((4, 0)).is_zero() or jet2.coeff((0, 4)).is_zero():
-        raise PipelineError("even quartic reduction failed")
-    return g2
+    z = from_rational(0)
+    if not q.is_zero():
+        tower, z = cubic_root(tower, [-(q * q), p * p - 4 * r, 2 * p, 1])
+    dets = 16 * r - 4 * p * z - 3 * z * z
+    if dets.is_zero():
+        raise PipelineError("quartic pairing has a square factor")
+    tower, root = adjoin_root(tower, 2, dets)
+    a = 2 * (2 * p + 3 * z) / root
+    i, j = _quartic_invariants(coeffs)
+    ia, ja = _quartic_invariants([1, 0, a, 0, 1])
+    if not (i ** 3 * ja ** 2 - j ** 2 * ia ** 3).is_zero():
+        raise PipelineError("quartic modulus failed its invariant check")
+    return SparsePoly.build(g.vars, {(4, 0): 1, (2, 2): a, (0, 4): 1})
 
 
 def expose_end(g, jet, var_index, exps, bound):
@@ -1047,7 +1002,7 @@ def _flow_images(vars, c, depth):
         acc = SparsePoly.variable(vars, name)
         term = acc
         for k in range(1, depth + 1):
-            term = delta(term).scaled(Fraction(1, k))
+            term = delta(term) * Fraction(1, k)
             if term.is_zero():
                 break
             acc = acc + term
@@ -1103,7 +1058,7 @@ def normalize_double_core(f, mu):
             "y": SparsePoly.monomial(vars, (0, 1), b),
         },
     )
-    f = drop_above(f, _CORE_WEIGHT, bound)
+    f = wjet(f, _CORE_WEIGHT, bound)
     core2 = _core(vars) ** 2
     if not (wlayer(f, _CORE_WEIGHT, 12) - core2).is_zero():
         raise PipelineError("core rescaling failed")

@@ -1,12 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from arnoldnf.catalog import instantiate
 from arnoldnf.classify import classify
+from arnoldnf.cli import _PALETTE
 from arnoldnf.errors import Rejection
-from arnoldnf.poly import parse_poly, substitute
+from arnoldnf.poly import SparsePoly, parse_poly, substitute
 from arnoldnf.scalars import approximate, format_scalar, format_tower
+from arnoldnf.transform import apply_linear
 
 
 def P(text, vars=("x", "y")):
@@ -316,6 +319,95 @@ def test_tangent_change_preserves_type_and_moduli():
     r = classify(g)
     assert r.name == "J_3,1"
     assert rational_params(r) == {"a0": Fraction(1), "a1": Fraction(2)}
+
+
+# -- the X_9 modulus of a quartic jet that is not even ---------------
+
+
+def _quartic_invariants(c):
+    """I and J of c[0]*x^4 + c[1]*x^3*y + ... + c[4]*y^4, scaled so that
+    x^4 + a*x^2*y^2 + y^4 has I = 12 + a^2 and J = a*(72 - 2*a^2)."""
+    i = 12 * c[0] * c[4] - 3 * c[1] * c[3] + c[2] ** 2
+    j = (
+        72 * c[0] * c[2] * c[4]
+        + 9 * c[1] * c[2] * c[3]
+        - 27 * c[0] * c[3] ** 2
+        - 27 * c[4] * c[1] ** 2
+        - 2 * c[2] ** 3
+    )
+    return i, j
+
+
+def _x9_modulus(g):
+    """Classify g as X_9 and return its a, after checking exactly, in
+    tower arithmetic, that x^4 + a*x^2*y^2 + y^4 has the j-invariant of
+    the quartic jet of g: I^3 * J(a)^2 == J^2 * I(a)^3."""
+    r = classify(g)
+    assert (r.key, r.mu) == ("X_9", 9)
+    ((name, a),) = r.parameters
+    assert name == "a"
+    i, j = _quartic_invariants([g.coeff((4 - k, k)) for k in range(5)])
+    ia, ja = 12 + a * a, a * (72 - 2 * a * a)
+    assert (i ** 3 * ja ** 2 - j ** 2 * ia ** 3).is_zero()
+    return a
+
+
+_SMALL = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
+
+
+def _x9_linear_samples():
+    rng = random.Random(9)
+    tail = P("x^2*y^3-1/2*x^5")
+    for a in _PALETTE:
+        if a * a == 4:
+            continue
+        while True:
+            rows = [[rng.choice(_SMALL) for _ in range(2)] for _ in range(2)]
+            if rows[0][0] * rows[1][1] != rows[0][1] * rows[1][0]:
+                break
+        yield apply_linear(instantiate("X_9", (9,), {"a": a}) + tail, rows, 11)
+
+
+def _x9_random_quartics(count):
+    rng = random.Random(4)
+    tail = P("x^3*y^2+y^6")
+    while count:
+        c = [rng.choice(_SMALL) for _ in range(5)]
+        i, j = _quartic_invariants(c)
+        if 4 * i ** 3 == j * j:
+            continue  # a repeated root, or the zero form
+        count -= 1
+        terms = {(4 - k, k): c[k] for k in range(5)}
+        yield SparsePoly.build(("x", "y"), terms) + tail
+
+
+@pytest.mark.parametrize(
+    "g", list(_x9_linear_samples()) + list(_x9_random_quartics(8))
+)
+def test_x9_modulus_of_a_general_quartic_jet(g):
+    _x9_modulus(g)
+
+
+def test_x9_modulus_pinned_for_even_jets_with_unit_ends():
+    for a in _PALETTE:
+        if a * a != 4:
+            g = instantiate("X_9", (9,), {"a": a}) + P("x^3*y^2-x*y^5")
+            assert _x9_modulus(g) == a
+
+
+def test_x9_modulus_when_both_ends_vanish():
+    # the x^4 end is exposed by a shear before the jet is read
+    a = _x9_modulus(P("x^3*y+x*y^3"))
+    assert (a * (72 - 2 * a * a)).is_zero()
+
+
+def test_x9_modulus_of_an_even_jet_with_other_ends():
+    assert _x9_modulus(P("2*x^4+3*x^2*y^2+5*y^4")) ** 2 == Fraction(9, 10)
+
+
+def test_x9_modulus_when_i_vanishes():
+    # I = 12*0*1 - 3*1*0 + 0 = 0, so I(a) = 12 + a^2 = 0
+    assert _x9_modulus(P("y^4+x^3*y")) ** 2 == -12
 
 
 # -- rejections ------------------------------------------------------

@@ -60,6 +60,17 @@ def test_rational_roots():
     assert rational_roots(uni_make([0, -1, 0, 1])) == [-1, 0, 1]
     assert rational_roots(uni_make([2, 0, 1])) == []
     assert rational_roots(uni_make([Fraction(1, 2), 1])) == [Fraction(-1, 2)]
+    assert rational_roots(uni_make([0, 0, 1])) == [0]
+
+
+def test_rational_roots_with_large_coefficients():
+    # the integer constant term is near 3*10**36, far beyond a search over
+    # its divisors by trial division
+    r = Fraction(10 ** 12 + 39, 999983)
+    s = Fraction(-(10 ** 12 + 61), 7)
+    f = uni_mul(uni_make([-r, 1]), uni_make([-r, 1]))
+    f = uni_mul(uni_mul(f, uni_make([-s, 1])), uni_make([3, 0, 1]))
+    assert rational_roots(f) == [s, r]
 
 
 def test_quadratic_roots():
