@@ -20,7 +20,15 @@ from .catalog import FAMILIES, FAMILY, display_name, instantiate
 from .classify import classify
 from .errors import ParseError, Rejection
 from .poly import SparsePoly, parse_poly, substitute
-from .scalars import approximate, format_scalar, format_tower, scalar_payload
+from .scalars import (
+    approximate,
+    format_scalar,
+    format_tower,
+    monomial_text,
+    scalar_payload,
+    signed_sum,
+    term_text,
+)
 from .transform import apply_linear
 
 _REASON_TEXT = {
@@ -31,16 +39,6 @@ _REASON_TEXT = {
 
 
 # -- rendering a result ----------------------------------------------
-
-
-def _mono_text(vars, exps):
-    pieces = []
-    for name, e in zip(vars, exps):
-        if e == 1:
-            pieces.append(name)
-        elif e > 1:
-            pieces.append(f"{name}^{e}")
-    return "*".join(pieces) if pieces else "1"
 
 
 def _part_vars(parts):
@@ -56,9 +54,9 @@ def normal_form_string(parts):
         if label == "core":
             chunks.append("(x^2+y^3)^2")
         elif label == 1:
-            chunks.append(_mono_text(vars, exps))
+            chunks.append(monomial_text(vars, exps))
         else:
-            chunks.append(f"{label}*{_mono_text(vars, exps)}")
+            chunks.append(f"{label}*{monomial_text(vars, exps)}")
     return "+".join(chunks)
 
 
@@ -79,17 +77,8 @@ def equation_string(result):
         c = Fraction(1) if label == 1 else values[label]
         if c == 0:
             continue
-        mono = _mono_text(vars, exps)
-        if c == 1:
-            chunks.append(mono)
-        elif c == -1:
-            chunks.append(f"-{mono}")
-        else:
-            chunks.append(f"{c}*{mono}")
-    text = chunks[0]
-    for chunk in chunks[1:]:
-        text += chunk if chunk.startswith("-") else "+" + chunk
-    return text
+        chunks.append(term_text(c, monomial_text(vars, exps)))
+    return signed_sum(chunks)
 
 
 def result_payload(result, digits, with_trace):

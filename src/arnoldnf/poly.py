@@ -16,7 +16,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError
-from .scalars import AlgebraicScalar, format_scalar, from_rational
+from .scalars import (
+    AlgebraicScalar,
+    format_scalar,
+    from_rational,
+    monomial_text,
+    signed_sum,
+    term_text,
+)
 
 
 def _as_scalar(value):
@@ -310,35 +317,15 @@ def sorted_terms(f):
 
 
 def poly_str(f):
-    if not f.terms:
-        return "0"
     parts = []
     for exps, c in sorted_terms(f):
-        factors = []
-        for name, e in zip(f.vars, exps):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{e}")
-        mono = "*".join(factors)
+        mono = monomial_text(f.vars, exps)
         if c.is_rational():
-            q = c.as_fraction()
-            if not mono:
-                text = str(q)
-            elif q == 1:
-                text = mono
-            elif q == -1:
-                text = "-" + mono
-            else:
-                text = f"{q}*{mono}"
+            parts.append(term_text(c.as_fraction(), mono))
         else:
             body = f"({format_scalar(c)})"
-            text = f"{body}*{mono}" if mono else body
-        parts.append(text)
-    out = parts[0]
-    for p in parts[1:]:
-        out += p if p.startswith("-") else "+" + p
-    return out
+            parts.append(f"{body}*{mono}" if mono else body)
+    return signed_sum(parts)
 
 
 # -- parsing ---------------------------------------------------------

@@ -573,34 +573,40 @@ def format_tower(tower):
     return lines
 
 
+def monomial_text(names, exps):
+    """x*y^2 style text of a monomial; empty for the constant 1."""
+    return "*".join(
+        name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e
+    )
+
+
+def term_text(c, mono):
+    """Text of c * mono for a rational c, the unit coefficient elided."""
+    if not mono:
+        return str(c)
+    if c == 1:
+        return mono
+    if c == -1:
+        return "-" + mono
+    return f"{c}*{mono}"
+
+
+def signed_sum(parts):
+    """Term texts joined by '+', except before a term that brings its
+    own minus sign; '0' for no terms."""
+    if not parts:
+        return "0"
+    return parts[0] + "".join(p if p.startswith("-") else "+" + p for p in parts[1:])
+
+
 def format_scalar(scalar):
     if isinstance(scalar, (int, Fraction)):
         return str(Fraction(scalar))
     parts = []
     for exps, c in scalar.iter_terms():
-        factors = []
-        if c == -1 and any(exps):
-            factors.append("-")
-        elif c != 1 or not any(exps):
-            factors.append(str(c))
-        for i, e in enumerate(exps):
-            if e == 1:
-                factors.append(_gen_name(i))
-            elif e > 1:
-                factors.append(f"{_gen_name(i)}^{e}")
-        if factors == ["-"]:
-            parts.append("-" + "1")
-            continue
-        joined = "*".join(f for f in factors if f != "-")
-        if "-" in factors:
-            joined = "-" + joined
-        parts.append(joined)
-    if not parts:
-        return "0"
-    text = parts[0]
-    for p in parts[1:]:
-        text += p if p.startswith("-") else "+" + p
-    return text
+        names = [_gen_name(i) for i in range(len(exps))]
+        parts.append(term_text(c, monomial_text(names, exps)))
+    return signed_sum(parts)
 
 
 def scalar_payload(scalar, digits=8):

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 from .errors import PipelineError
 from .localalg import (
-    _monomials_with_pdeg_at_most,
     layer_decompose,
     milnor_number,
     mono_mul,
@@ -421,39 +420,15 @@ def graded_ladder(f, weights, d, dprime, allowed_above):
     """Normalize every layer from d+1 up to dprime.
 
     `allowed_above` lists the monomials permitted to survive above the
-    principal level d (the moduli positions of the target shape).  Each
-    layer is emptied onto its allowed monomials by shears built from
-    the Jacobian of the level d part; everything above dprime is cut.
+    principal level d (the moduli positions of the target shape).  A
+    single weight grades the local algebra: a shear built from the
+    Jacobian of the level d part writes nothing below the layer it
+    clears, so the layers can be emptied lowest first and everything
+    above dprime cut, and the cut is faithful.  The layers run through
+    the same exact absorption as `absorb_above`, truncated at weighted
+    degree dprime.
     """
-    weights = as_weights(weights)
-    f0 = wlayer(f, weights, d)
-    current = wjet(f, weights, dprime)
-    levels = sorted(
-        {
-            weight_value(weights, e)
-            for e in _monomials_with_pdeg_at_most(weights, dprime)
-            if d < weight_value(weights, e) <= dprime
-        }
-    )
-    for level in levels:
-        g = wlayer(current, weights, level)
-        if g.is_zero():
-            continue
-        extras = sorted(
-            e for e in allowed_above if weight_value(weights, e) == level
-        )
-        result = layer_decompose(g, f0, weights, level, extras)
-        if result is None:
-            raise PipelineError(
-                f"layer {level} will not reduce onto the Jacobian and moduli"
-            )
-        v1, v2, coeffs = result
-        current = shear(current, v1, v2, (weights, dprime))
-        layer_now = wlayer(current, weights, level)
-        expected = SparsePoly.build(f.vars, dict(coeffs))
-        if not (layer_now - expected).is_zero():
-            raise PipelineError("layer normalization left unexpected terms")
-    return current
+    return _absorb(f, weights, d, allowed_above, (weights, dprime))
 
 
 def absorb_above(f, weights, level, allowed, bound):
@@ -463,19 +438,25 @@ def absorb_above(f, weights, level, allowed, bound):
     Under a two piece weight the local algebra is not graded: reducing
     a term can leave residue on an allowed monomial of lower weighted
     degree, so the cut a single weight permits is not faithful here.
-    Instead the stray content is removed one weight layer at a time,
-    lowest first, by an exact shear assembled from monomial multiples
-    of the partials.  Whatever the ideal cannot reach flows onto the
-    allowed monomials and stays put.  Every substitution is exact, so
-    the surviving coefficients do not depend on how the shear was
-    chosen, only on the equivalence class of the input.
+    The absorption is cut in ordinary degree instead, just below
+    `bound`.  Whatever the ideal cannot reach flows onto the allowed
+    monomials and stays put.  Every substitution is exact, so the
+    surviving coefficients do not depend on how the shear was chosen,
+    only on the equivalence class of the input.
     """
-    weights = as_weights(weights)
-    ordinary = as_weights((1, 1))
     # the truncation bound sits one past the determinacy degree, so a
     # term of ordinary degree equal to the bound can simply be dropped
-    cut = bound - 1
-    f = wjet(f, ordinary, cut)
+    return _absorb(f, weights, level, allowed, ((1, 1), bound - 1))
+
+
+def _absorb(f, weights, level, allowed, truncation):
+    """Remove the stray content above `level` one weight layer at a
+    time, lowest first, by an exact shear assembled from monomial
+    multiples of the partials of the principal part; every product and
+    shear drops the terms beyond `truncation` = (truncation weight,
+    bound)."""
+    weights = as_weights(weights)
+    f = wjet(f, *truncation)
     allowed = {tuple(e) for e in allowed}
     base = wjet(f, weights, level)
     table = None
@@ -489,7 +470,7 @@ def absorb_above(f, weights, level, allowed, bound):
             return f
         if table is None:
             table = _ColumnTable(
-                wlayer(f, weights, level), weights, level, allowed, cut
+                wlayer(f, weights, level), weights, level, allowed, truncation
             )
         j = min(weight_value(weights, e) for e in stray)
         layer = SparsePoly.build(
@@ -499,7 +480,7 @@ def absorb_above(f, weights, level, allowed, bound):
         v1, v2 = table.layer_shear(layer, j)
         if v1.is_zero() and v2.is_zero():
             raise PipelineError("tail absorption made no progress")
-        f = shear(f, v1, v2, (ordinary, cut))
+        f = shear(f, v1, v2, truncation)
         if not (wjet(f, weights, level) - base).is_zero():
             raise PipelineError("tail absorption disturbed the principal part")
     raise PipelineError("tail absorption did not settle")
@@ -546,7 +527,6 @@ def shear(f, v1, v2, truncation):
     vars = f.vars
     weights, bound = truncation
     weights = as_weights(weights)
-    neg = from_rational(-1)
     out = SparsePoly.zero(vars)
     fa = f
     xpow = SparsePoly.constant(vars, 1)
@@ -560,13 +540,13 @@ def shear(f, v1, v2, truncation):
             if v2.is_zero():
                 break
             b += 1
-            fab = mono_mul(diff(fab, 1), (0, 0), from_rational(Fraction(1, b)))
-            ypow = mono_mul(mul_trunc(ypow, v2, weights, bound), (0, 0), neg)
+            fab = diff(fab, 1) * Fraction(1, b)
+            ypow = -mul_trunc(ypow, v2, weights, bound)
         if v1.is_zero():
             break
         a += 1
-        fa = mono_mul(diff(fa, 0), (0, 0), from_rational(Fraction(1, a)))
-        xpow = mono_mul(mul_trunc(xpow, v1, weights, bound), (0, 0), neg)
+        fa = diff(fa, 0) * Fraction(1, a)
+        xpow = -mul_trunc(xpow, v1, weights, bound)
     return out
 
 
@@ -574,32 +554,32 @@ class _ColumnTable:
     """Triangular elimination of the columns behind the layer shears.
 
     Columns are monomial multiples u * df0/dx_k of the partials of the
-    principal part whose product, cut at ordinary degree `cut`, stays
-    strictly above the principal level.  They are planned from
-    exponents alone and sorted by their lowest term; a column enters
-    (its product is formed and reduced against the table) only when a
-    layer asks for a pivot at or above its lowest term.  Reduction only
-    raises a column's lowest term, so the pivot at e is final once
-    every column with lowest term at most e has entered: the pivots are
-    those of eliminating every safe column up front.  The allowed
-    monomials act as free pivots, so residue the ideal cannot reach
-    flows onto them.
+    principal part whose product, cut at `truncation` = (truncation
+    weight, bound), stays strictly above the principal level.  They are
+    planned from exponents alone and sorted by their lowest term; a
+    column enters (its product is formed and reduced against the table)
+    only when a layer asks for a pivot at or above its lowest term.
+    Reduction only raises a column's lowest term, so the pivot at e is
+    final once every column with lowest term at most e has entered: the
+    pivots are those of eliminating every safe column up front.  The
+    allowed monomials act as free pivots, so residue the ideal cannot
+    reach flows onto them.
 
     The table carries over to the next layer.  A pivot depends only on
     the columns entered before it, so when a column in the table is no
     longer safe at the new layer weight (see `_column_floor`) the table
     drops that column and every one entered after it, and the rest is
     what eliminating the safe columns afresh would build.  One table
-    lives for one `absorb_above` call.
+    lives for one `_absorb` call.
     """
 
-    def __init__(self, f0, weights, level, allowed, cut):
+    def __init__(self, f0, weights, level, allowed, truncation):
         self.vars = f0.vars
         self.weights = weights
         self.allowed = allowed
-        self.cut = cut
+        self.truncation = truncation
         self.partials = (diff(f0, 0), diff(f0, 1))
-        self.columns = _plan_columns(self.partials, weights, level, cut)
+        self.columns = _plan_columns(self.partials, weights, level, truncation)
         self.floors = {}
         self.pivots = {
             e: (SparsePoly.monomial(self.vars, e, 1), {})
@@ -645,7 +625,6 @@ class _ColumnTable:
         at most e; None when the ideal cannot reach e."""
         key = term_sort_key(e)
         columns = self.columns
-        ordinary = as_weights((1, 1))
         one = from_rational(1)
         while self.entered < len(columns) and columns[self.entered][0] <= key:
             position = self.entered
@@ -654,9 +633,7 @@ class _ColumnTable:
             floor = self._floor(var_index, u)
             if floor <= self.j:
                 continue
-            prod = wjet(
-                mono_mul(self.partials[var_index], u, 1), ordinary, self.cut
-            )
+            prod = wjet(mono_mul(self.partials[var_index], u, 1), *self.truncation)
             made = self._reduce(prod, {(var_index, u): one})
             self.kept.append((position, floor, made))
         return self.pivots.get(e)
@@ -674,7 +651,7 @@ class _ColumnTable:
                 return e
             base, base_combo = entry
             c = col.coeff(e) / base.coeff(e)
-            col = col - mono_mul(base, (0, 0), c)
+            col = col - base * c
             for tag, value in base_combo.items():
                 combo[tag] = combo.get(tag, zero) - c * value
         return None
@@ -698,7 +675,7 @@ class _ColumnTable:
                 )
             base, base_combo = entry
             c = s.coeff(e) / base.coeff(e)
-            s = s - mono_mul(base, (0, 0), c)
+            s = s - base * c
             for tag, value in base_combo.items():
                 combo[tag] = combo.get(tag, zero) + c * value
         v1 = SparsePoly.zero(self.vars)
@@ -714,26 +691,31 @@ class _ColumnTable:
         return v1, v2
 
 
-def _plan_columns(partials, weights, level, cut):
+def _plan_columns(partials, weights, level, truncation):
     """The columns (lowest term key, var_index, u), sorted, read from
     exponents: shifting by u keeps the term order, so a product's
     lowest term is the partial's lowest term plus u, and the product
-    is empty when that term passes the cut."""
+    is empty when that term passes the truncation.  Under the ordinary
+    weight the lowest term is the last one cut; under a plan's single
+    weight every partial of the homogeneous principal part is
+    homogeneous, so its terms are cut together."""
+    tw, cut = truncation
+    ((wx, wy),) = as_weights(tw)
     columns = []
     for var_index, partial in enumerate(partials):
         if partial.is_zero():
             continue
         exps = list(partial.terms)
         lowest = min(exps, key=term_sort_key)
-        room = cut - sum(lowest)
-        for a in range(room + 1):
-            for b in range(room + 1 - a):
+        room = cut - wx * lowest[0] - wy * lowest[1]
+        for a in range(room // wx + 1):
+            for b in range((room - wx * a) // wy + 1):
                 if a == 0 and b == 0:
                     continue
                 order = min(
                     weight_value(weights, (e[0] + a, e[1] + b))
                     for e in exps
-                    if sum(e) + a + b <= cut
+                    if wx * (e[0] + a) + wy * (e[1] + b) <= cut
                 )
                 if order <= level:
                     continue
@@ -747,14 +729,13 @@ def _plan_columns(partials, weights, level, cut):
 
 
 def rescale_to_unit(f, unit_exps):
-    """Rescale the variables so each listed monomial gets coefficient 1.
+    """Rescale x and y so that both listed monomials get coefficient 1.
 
-    Solves the exponent system exactly, adjoining radicals as needed,
-    and verifies the result.  Supports germs in one or two variables
-    and at most two marked monomials.
+    Every catalog plan marks two units.  Euclid on their x exponents
+    leaves a pure y power, whose radical is the y scale; the x scale is
+    a radical of what the other monomial then still needs.  Radicals
+    are adjoined exactly and the result is verified.
     """
-    if not unit_exps:
-        return f
     values = []
     for e in unit_exps:
         c = f.coeff(e)
@@ -762,50 +743,35 @@ def rescale_to_unit(f, unit_exps):
             raise PipelineError(f"monomial {e} vanished before rescaling")
         values.append(1 / c)
     tower = _tower_of(f)
-    if len(f.vars) == 1:
-        (k,) = unit_exps[0]
-        tower, s = adjoin_root(tower, k, values[0])
-        scales = [s]
-    elif len(unit_exps) == 1:
-        (alpha, beta), v = unit_exps[0], values[0]
-        if alpha:
-            tower, s = adjoin_root(tower, alpha, v)
-            scales = [s, from_rational(1)]
-        else:
-            tower, t = adjoin_root(tower, beta, v)
-            scales = [from_rational(1), t]
-    else:
-        (a1, b1), (a2, b2) = unit_exps
-        r1 = (a1, b1, values[0])
-        r2 = (a2, b2, values[1])
-        if r1[0] == 0:
-            r1, r2 = r2, r1
-        if r1[0] == 0:
-            raise PipelineError("rescaling monomials are both pure y powers")
-        while r2[0] != 0:
-            q = r1[0] // r2[0]
-            r1, r2 = r2, (
-                r1[0] - q * r2[0],
-                r1[1] - q * r2[1],
-                r1[2] / r2[2] ** q,
-            )
-        if r2[1] == 0:
-            raise PipelineError("dependent rescaling monomials")
-        if r2[1] < 0:
-            r2 = (0, -r2[1], 1 / r2[2])
-        tower, t = adjoin_root(tower, r2[1], r2[2])
-        rest = r1[2] * t ** (-r1[1])
-        tower, s = adjoin_root(tower, r1[0], rest)
-        scales = [s, t]
-    images = {
-        name: SparsePoly.monomial(
-            f.vars,
-            tuple(1 if k == i else 0 for k in range(len(f.vars))),
-            scales[i],
+    (a1, b1), (a2, b2) = unit_exps
+    r1 = (a1, b1, values[0])
+    r2 = (a2, b2, values[1])
+    if r1[0] == 0:
+        r1, r2 = r2, r1
+    if r1[0] == 0:
+        raise PipelineError("rescaling monomials are both pure y powers")
+    while r2[0] != 0:
+        q = r1[0] // r2[0]
+        r1, r2 = r2, (
+            r1[0] - q * r2[0],
+            r1[1] - q * r2[1],
+            r1[2] / r2[2] ** q,
         )
-        for i, name in enumerate(f.vars)
-    }
-    f2 = substitute(f, images)
+    if r2[1] == 0:
+        raise PipelineError("dependent rescaling monomials")
+    if r2[1] < 0:
+        r2 = (0, -r2[1], 1 / r2[2])
+    tower, t = adjoin_root(tower, r2[1], r2[2])
+    rest = r1[2] * t ** (-r1[1])
+    tower, s = adjoin_root(tower, r1[0], rest)
+    x, y = f.vars
+    f2 = substitute(
+        f,
+        {
+            x: SparsePoly.monomial(f.vars, (1, 0), s),
+            y: SparsePoly.monomial(f.vars, (0, 1), t),
+        },
+    )
     for e in unit_exps:
         if f2.coeff(e) != 1:
             raise PipelineError("rescaling failed to reach unit coefficients")

@@ -10,6 +10,7 @@ work), so the plans are pinned to these literals field by field.
 import pytest
 
 from arnoldnf.catalog import (
+    FAMILIES,
     corner_plan,
     double_core_family,
     moduli_positions,
@@ -179,3 +180,25 @@ def test_double_core_family_both_parities():
     ]
     assert moduli_positions("W#_1,2q", (1, 2)) == [("a0", (2, 4)), ("a1", (2, 5))]
 
+
+
+def test_every_plan_has_two_units_over_x_and_y():
+    # rescale_to_unit only handles two unit monomials in x and y; A_k
+    # and the double core families finish without a plan
+    plans = [single_face_plan(xend, yend) for xend, yend in SINGLE]
+    plans += [single_face_plan((2, 1), (0, m)) for m in range(3, 40)]
+    plans.append(x9_plan())
+    for xend in [(3, 0), (3, 1), (4, 0), (5, 0), (6, 0), (7, 0)]:
+        for corner in [(2, 2), (2, 3)]:
+            for m in range(4, 40):
+                plans.append(corner_plan(xend, corner, m, ((1, 1),), 0))
+    plans = [plan for plan in plans if plan is not None]
+    planned = {
+        fam.key
+        for fam in FAMILIES
+        if fam.key != "A_k" and fam.units(*fam.samples[0]) is not None
+    }
+    assert {plan.key for plan in plans} == planned
+    for plan in plans:
+        assert len(plan.units) == 2, plan.key
+        assert all(len(e) == 2 for e in plan.units), plan.key

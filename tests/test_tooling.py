@@ -7,6 +7,7 @@ loads the tracer by path and checks every name, then runs it once on a
 germ whose reduction works over a radical tower.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -16,6 +17,7 @@ import sys
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "arnoldnf"
 
 
 def _entry_points():
@@ -37,6 +39,28 @@ def test_tracer_entry_points_resolve():
     assert not missing, missing
     scalars = importlib.import_module("arnoldnf.scalars")
     assert callable(scalars.AlgebraicScalar.inverted)
+
+
+def test_tracer_entry_points_are_called():
+    # a per-layer metric must time a function the classifier still
+    # calls: every traced name appears as the callee of some call in
+    # the package, by name or as an attribute
+    called = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    called.add(func.id)
+                elif isinstance(func, ast.Attribute):
+                    called.add(func.attr)
+    idle = [
+        f"{short}.{name}"
+        for short, names in _entry_points().items()
+        for name in names
+        if name not in called
+    ]
+    assert not idle, idle
 
 
 TRACED_RUN = """

@@ -1,13 +1,22 @@
 import importlib
+import random
 from fractions import Fraction
 
 import pytest
 
-from arnoldnf.catalog import instantiate, moduli_positions
+from arnoldnf import cli
+from arnoldnf.catalog import (
+    FAMILIES,
+    FAMILY,
+    display_name,
+    instantiate,
+    moduli_positions,
+)
 from arnoldnf.classify import classify
 from arnoldnf.errors import PipelineError
 from arnoldnf.localalg import (
     _monomials_with_pdeg_at_most,
+    layer_decompose,
     milnor_number,
     mono_mul,
 )
@@ -229,6 +238,100 @@ def test_ladder_shears_one_layer():
     f2 = graded_ladder(f, ((5, 2),), 15, 16, [(0, 8)])
     expected = B({(3, 0): 1, (1, 5): 1, (0, 8): Fraction(-1, 3)})
     assert (f2 - expected).is_zero()
+
+
+def _dense_ladder(f, weights, d, dprime, allowed_above):
+    """graded_ladder as one dense solve per layer: each layer from d+1
+    to dprime is written through layer_decompose as shears of the
+    principal part plus the allowed monomials, then sheared away."""
+    weights = as_weights(weights)
+    f0 = wlayer(f, weights, d)
+    current = wjet(f, weights, dprime)
+    levels = sorted(
+        {
+            weight_value(weights, e)
+            for e in _monomials_with_pdeg_at_most(weights, dprime)
+            if d < weight_value(weights, e) <= dprime
+        }
+    )
+    for level in levels:
+        g = wlayer(current, weights, level)
+        if g.is_zero():
+            continue
+        extras = sorted(
+            e for e in allowed_above if weight_value(weights, e) == level
+        )
+        result = layer_decompose(g, f0, weights, level, extras)
+        assert result is not None, f"layer {level} will not reduce"
+        v1, v2, coeffs = result
+        current = shear(current, v1, v2, (weights, dprime))
+        layer_now = wlayer(current, weights, level)
+        assert (layer_now - SparsePoly.build(f.vars, dict(coeffs))).is_zero()
+    return current
+
+
+def _ladder_calls(monkeypatch, g):
+    """Classify g and return, for each graded_ladder call, its
+    arguments and its result."""
+    calls = []
+
+    def recording_ladder(*args):
+        result = graded_ladder(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(classify_module, "graded_ladder", recording_ladder)
+    return classify(g), calls
+
+
+# the harness rows that finish under one weight, through graded_ladder:
+# all but A_k, the corner families and the double core families
+LADDER_ROWS = [
+    (fam.key, indices)
+    for fam in FAMILIES
+    for indices in fam.samples
+    if fam.key
+    not in (
+        "A_k",
+        "J_10+k",
+        "X_9+k",
+        "Y_r,s",
+        "J_3,p",
+        "Z_1,p",
+        "W_1,p",
+        "W#_1,2q-1",
+        "W#_1,2q",
+    )
+]
+
+
+@pytest.mark.parametrize(
+    "key, indices",
+    LADDER_ROWS,
+    ids=[display_name(key, indices) for key, indices in LADDER_ROWS],
+)
+def test_graded_ladder_matches_dense_solve(monkeypatch, key, indices):
+    # the normal form and two tangent to identity images of it; the
+    # graded_ladder call must give exactly what the dense per layer
+    # solve gives on the same arguments
+    rng = random.Random(f"ladder:{key}:{indices}")
+    values = cli._row_values(key, indices, rng)
+    while 0 in values.values():
+        # a zero modulus leaves its layer empty, so a ladder cut short
+        # below it would go unseen
+        values = cli._row_values(key, indices, rng)
+    f0 = cli._row_germ(key, indices, values)
+    bound = FAMILY[key].mu(*indices) + 2
+    germs = [f0] + [
+        substitute(f0, cli._tangent_images(rng), truncation=((1, 1), bound))
+        for _ in range(2)
+    ]
+    for g in germs:
+        r, calls = _ladder_calls(monkeypatch, g)
+        assert r.name == display_name(key, indices)
+        assert len(calls) == 1
+        args, result = calls[0]
+        assert result == _dense_ladder(*args)
 
 
 # -- one shear routine -----------------------------------------------
