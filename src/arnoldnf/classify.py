@@ -148,7 +148,10 @@ def _plain(key, indices, modality, mu, corank, trace):
 def _corank_two(split, trace):
     g = split.residual
     mu = split.mu
-    bound = mu + 2
+    # g is determined by its jet of degree split.determinacy, and every
+    # move below keeps its right equivalence class, so each one cuts
+    # its result above that degree
+    bound = split.determinacy + 1
     d = poly_order(g, (1, 1))
     if d is None or d >= 5:
         raise Rejection("modality>2", "both low order jets vanish")

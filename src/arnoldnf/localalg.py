@@ -222,7 +222,7 @@ def _partials(f):
     return _coeff_dicts([g for g in (diff(f, 0), diff(f, 1)) if not g.is_zero()])
 
 
-def milnor_number(f, last_cap=None):
+def milnor_number(f, last_cap=None, with_top=False):
     """Milnor number of a two variable germ; None when not isolated.
 
     The Jacobian ideal J is completed modulo the monomials past a cap,
@@ -234,6 +234,13 @@ def milnor_number(f, last_cap=None):
     Bezout, so its staircase ends below degree (d-1)^2.  A caller that
     accepts a count only when mu + 2 <= B loses nothing with last cap B:
     such a staircase ends at degree mu - 1 <= B - 3.
+
+    With `with_top` the result is (mu, t), t the top degree of the
+    staircase, read off the same completion.  Every monomial of degree
+    t + 1 leads an element of J, so m^(t+1) lies in J + m^(t+2) and, by
+    Nakayama, in J.  Then m^(t+3) lies in m^2 * J, and f is
+    (t+2)-determined by Mather's test (Greuel, Lossen and Shustin,
+    Thm I.2.23).  Since t <= mu - 1 this degree never passes mu + 1.
     """
     gens = _partials(f)
     if not gens:
@@ -247,7 +254,7 @@ def milnor_number(f, last_cap=None):
         basis = _basis(gens, order, cap)
         count, top = _staircase([order.leading(d)[0] for d in basis], cap)
         if top <= cap - 2:
-            return count
+            return (count, top) if with_top else count
         if cap == last_cap:
             return None
         cap += cap // 2

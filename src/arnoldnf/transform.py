@@ -10,7 +10,6 @@ form off the quartic jet, to which such a germ is right equivalent.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import PipelineError
@@ -42,13 +41,25 @@ from .scalars import QQ, adjoin_root, from_rational, rational_nth_root
 
 
 class SplitResult:
-    __slots__ = ("corank", "rank", "residual", "mu")
+    """What `split_germ` reads off a germ.
 
-    def __init__(self, corank, rank, residual, mu):
+    `determinacy` is a degree k to which the residual is determined:
+    every germ with the same k-jet is right equivalent to it, so a
+    reduction may drop every term of ordinary degree above k.  For
+    corank two it is t + 2, t the top degree of the staircase behind
+    the Milnor count (Mather's test, see `milnor_number`); for corank
+    one, x^(mu+1) is (mu+1)-determined, and a Morse germ 2-determined.
+    Both `mu` and `determinacy` are None when the germ is not isolated.
+    """
+
+    __slots__ = ("corank", "rank", "residual", "mu", "determinacy")
+
+    def __init__(self, corank, rank, residual, mu, determinacy=None):
         self.corank = corank
         self.rank = rank
         self.residual = residual
         self.mu = mu
+        self.determinacy = determinacy
 
 
 def _quadratic_matrix(f):
@@ -162,7 +173,9 @@ def split_germ(f):
     residual is produced.  Its Milnor number is certified against the
     truncation bound used during square completion; None means no
     certificate was reached below the Bezout style cutoff, so the
-    singularity is not isolated.
+    singularity is not isolated.  The same Milnor count yields the
+    residual's determinacy degree, which the corank two reduction cuts
+    at.
     """
     n = len(f.vars)
     matrix = _quadratic_matrix(f)
@@ -183,23 +196,28 @@ def split_germ(f):
             residual_terms[tuple(e[i] for i in range(rank, n))] = c
         names = ("x", "y")[:corank]
         residual = SparsePoly(names, residual_terms)
-        mu = _residual_milnor(residual, corank, bound)
-        if mu is not None and mu + 2 <= bound:
-            return SplitResult(corank, rank, residual, mu)
+        milnor = _residual_milnor(residual, corank, bound)
+        if milnor is not None and milnor[0] + 2 <= bound:
+            return SplitResult(corank, rank, residual, *milnor)
         if bound > cutoff:
             return SplitResult(corank, rank, residual, None)
         bound *= 2
 
 
 def _residual_milnor(residual, corank, bound):
+    """(mu, determinacy degree) of the residual; None when not isolated."""
     if corank == 0:
-        return 1
+        return 1, 2
     if corank == 1:
         if residual.is_zero():
             return None
         k = min(e[0] for e in residual.terms)
-        return k - 1
-    return milnor_number(residual, bound)
+        return k - 1, k
+    milnor = milnor_number(residual, bound, with_top=True)
+    if milnor is None:
+        return None
+    mu, top = milnor
+    return mu, top + 2
 
 
 # -- straightening the lowest jet ------------------------------------
@@ -438,14 +456,18 @@ def absorb_above(f, weights, level, allowed, bound):
     Under a two piece weight the local algebra is not graded: reducing
     a term can leave residue on an allowed monomial of lower weighted
     degree, so the cut a single weight permits is not faithful here.
-    The absorption is cut in ordinary degree instead, just below
-    `bound`.  Whatever the ideal cannot reach flows onto the allowed
-    monomials and stays put.  Every substitution is exact, so the
-    surviving coefficients do not depend on how the shear was chosen,
-    only on the equivalence class of the input.
+    The absorption is cut in ordinary degree instead, at k = bound - 1,
+    the germ's determinacy degree: with m^(k+1) inside m^2 * J(f)
+    (Mather's test, see `milnor_number`) every germ sharing the k-jet
+    of f is right equivalent to it.  Each shear keeps the class of f,
+    so it keeps the test, and its cut at k drops only terms of degree
+    k + 1 and up, which the test makes irrelevant; the caller's own
+    moves cut at bound = k + 1, one degree more than needed.  Whatever
+    the ideal cannot reach flows onto the allowed monomials and stays
+    put.  Every substitution is exact, so the surviving coefficients do
+    not depend on how the shear was chosen, only on the equivalence
+    class of the input.
     """
-    # the truncation bound sits one past the determinacy degree, so a
-    # term of ordinary degree equal to the bound can simply be dropped
     return _absorb(f, weights, level, allowed, ((1, 1), bound - 1))
 
 
@@ -486,20 +508,24 @@ def _absorb(f, weights, level, allowed, truncation):
     raise PipelineError("tail absorption did not settle")
 
 
-def _column_floor(var_index, u, weights, allowed):
-    """Lowest weight at which a shear built on this column writes
-    interference onto a position outside the kept support (infinite
-    when it never does): the column is safe for layer j when j lies
-    below it.
+def _column_floor(var_index, u, weights, level, allowed):
+    """Lowest weight at which a shear built on the column u * df0/dx_k
+    writes back onto the layer it clears or below: the column is safe
+    for layer j when j lies below it.
 
-    Substituting the column's monomial into a kept term walks it along
-    a fixed lattice step; every landing must either stay kept (residue
-    on the kept support is the designed outcome) or sit strictly above
-    the layer being cleared, so the stray set never grows downward."""
+    Two kinds of landing count.  The second order Taylor term of the
+    principal part lands at level + 2 * shift, shift = w . (u - e_k)
+    over the pieces of the weight; at that layer two columns clearing
+    it feed it again with the square of their coefficients, round after
+    round.  And substituting the column's monomial into a kept term
+    walks it along the lattice step u - e_k; every landing must either
+    stay kept (residue on the kept support is the designed outcome) or
+    sit strictly above the layer being cleared, so the stray set never
+    grows downward."""
     step = tuple(
         c - (1 if k == var_index else 0) for k, c in enumerate(u)
     )
-    floor = math.inf
+    floor = level + 2 * weight_value(weights, step)
     for m in allowed:
         p = m
         for _ in range(m[var_index]):
@@ -576,6 +602,7 @@ class _ColumnTable:
     def __init__(self, f0, weights, level, allowed, truncation):
         self.vars = f0.vars
         self.weights = weights
+        self.level = level
         self.allowed = allowed
         self.truncation = truncation
         self.partials = (diff(f0, 0), diff(f0, 1))
@@ -596,7 +623,7 @@ class _ColumnTable:
         key = (var_index, u)
         if key not in self.floors:
             self.floors[key] = _column_floor(
-                var_index, u, self.weights, self.allowed
+                var_index, u, self.weights, self.level, self.allowed
             )
         return self.floors[key]
 

@@ -476,6 +476,34 @@ def test_j3p_series_with_mu_past_84(k, name, mu):
     assert rational_params(r) == {"a0": 1, "a1": 0}
 
 
+# -- corner germs cut at their determinacy degree --------------------
+
+
+def test_j31_tail_off_the_normal_form():
+    # x -> x*(1+y)^(-1/3), y -> y*(1+y)^(2/9) takes x^3*(1+y) to x^3,
+    # keeps x^2*y^3 up to terms the Jacobian ideal absorbs and sends
+    # y^10 to y^10 + 20/9*y^11 + ...
+    r = classify(P("x^3+x^2*y^3+y^10+x^3*y"))
+    assert (r.name, r.mu) == ("J_3,1", 17)
+    assert rational_params(r) == {"a0": Fraction(1), "a1": Fraction(20, 9)}
+
+
+def test_y75_behind_a_double_line_jet():
+    # x^2*y^2+2*x^4*y+x^6 = x^2*(y+x^2)^2, and y -> y - x^2 leaves
+    # x^2*y^2 + y^5 + x^7 up to terms of the Jacobian ideal
+    r = classify(P("x^2*y^2+2*x^4*y+x^6+y^5+x^7"))
+    assert (r.name, r.mu) == ("Y_7,5", 13)
+    assert rational_params(r) == {"a": Fraction(1)}
+
+
+def test_j321_tail_off_the_normal_form():
+    # y -> y*(1+y)^(-1/3) takes x^2*y^3*(1+y) to x^2*y^3 up to terms
+    # the Jacobian ideal absorbs and sends y^30 to y^30 - 10*y^31 + ...
+    r = classify(P("x^3+x^2*y^3+y^30+x^2*y^4"))
+    assert (r.name, r.mu) == ("J_3,21", 37)
+    assert rational_params(r) == {"a0": Fraction(1), "a1": Fraction(-10)}
+
+
 # -- result bookkeeping ----------------------------------------------
 
 

@@ -4,7 +4,8 @@
 when a traced run starts, so renaming or deleting one of them breaks
 `perfbench/run.py --trace 1` without failing any classifier test.  This
 loads the tracer by path and checks every name, then runs it once on a
-germ whose reduction works over a radical tower.
+germ whose reduction works over a radical tower.  The last test counts
+the standard basis completions behind one classification.
 """
 
 import ast
@@ -15,6 +16,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from arnoldnf import localalg
+from arnoldnf.catalog import instantiate
+from arnoldnf.classify import classify
+from arnoldnf.poly import parse_poly, substitute
+from arnoldnf.transform import split_germ
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "arnoldnf"
@@ -104,3 +111,26 @@ def test_tracer_counts_tower_arithmetic():
     assert seen["calls"].get("scalars.inverted", 0) > 0
     assert seen["calls"].get("scalars.adjoin_root", 0) > 0
     assert seen["tower_degree_max"] >= 2
+
+
+def test_determinacy_cut_costs_no_extra_standard_basis(monkeypatch):
+    # classify cuts the corank two reduction at the determinacy degree
+    # that split_germ reads off its own Milnor count; no second Mora
+    # completion may run for it
+    f0 = instantiate("J_3,p", (3, 1), {"a0": 2, "a1": 2})
+    g = substitute(f0, {"x": parse_poly("x+x^3", ("x", "y"))}, truncation=((1, 1), 30))
+    calls = []
+    basis = localalg._basis
+
+    def counting_basis(*args, **kwargs):
+        calls.append(1)
+        return basis(*args, **kwargs)
+
+    monkeypatch.setattr(localalg, "_basis", counting_basis)
+    split = split_germ(g)
+    splitting = len(calls)
+    calls.clear()
+    r = classify(g)
+    assert (r.name, split.determinacy) == ("J_3,1", 13)
+    assert splitting > 0
+    assert len(calls) == splitting
