@@ -11,9 +11,11 @@ One engine does every reduction, on coefficient dicts that hold
 coprime integers for rational input and tower scalars otherwise; its
 steps cross multiply and never divide, since every caller only uses
 the ideal an element spans.  Milnor numbers come from completions
-modulo the monomials past a growing degree cap.  The last cap needs no
-guess: an isolated germ of degree d has m^mu inside its Jacobian ideal
-and mu <= (d-1)^2 by Bezout, so a cap of (d-1)^2 + 2 decides it.
+modulo the monomials past a growing degree cap.  The first cap is
+2*ord - 2, the lowest at which a germ with a reduced tangent cone can
+certify.  The last cap needs no guess: an isolated germ of degree d
+has m^mu inside its Jacobian ideal and mu <= (d-1)^2 by Bezout, so a
+cap of (d-1)^2 + 2 decides it.
 """
 
 from __future__ import annotations
@@ -226,9 +228,20 @@ def milnor_number(f, last_cap=None, with_top=False):
     """Milnor number of a two variable germ; None when not isolated.
 
     The Jacobian ideal J is completed modulo the monomials past a cap,
-    on caps growing by half from 16 up to `last_cap`.  When the
-    staircase closes at least two degrees below the cap, m^(cap-1) lies
-    in J by Nakayama, the enlargement was invisible and the count is exact.
+    on caps growing by half from 2*d - 2, d the order of f, up to
+    `last_cap`.  When the staircase closes at least two degrees below
+    the cap, m^(cap-1) lies in J by Nakayama, the enlargement was
+    invisible and the count is exact.
+
+    No lower first cap certifies when the tangent cone is reduced.  J
+    lies in m^(d-1), and the lowest forms g1, g2 of the partials then
+    share no factor, so every syzygy of theirs has degree d - 1 or more.
+    Below degree 2d - 2 the leading forms of J are therefore those of
+    (g1, g2), which fill only 2d - 4 of the 2d - 3 monomials of degree
+    2d - 4: the staircase top t is at least 2d - 4, and a certificate
+    needs t <= cap - 2.  Degenerate tangent cones kept t >= 2d - 4 on
+    every germ tested.  Correctness never rests on this bound: a cap
+    that is too low only fails to certify, and the ladder climbs on.
     The default last cap (d-1)^2 + 2 for f of degree d decides every
     germ: an isolated one has m^mu inside J and mu <= (d-1)^2 by
     Bezout, so its staircase ends below degree (d-1)^2.  A caller that
@@ -248,7 +261,8 @@ def milnor_number(f, last_cap=None, with_top=False):
     if last_cap is None:
         last_cap = (f.total_degree() - 1) ** 2 + 2
     order = LocalOrder((1, 1))
-    cap = 16
+    # at least 2, so that the cap grows by cap // 2
+    cap = max(2 * poly_order(f, (1, 1)) - 2, 2)
     while True:
         cap = min(cap, last_cap)
         basis = _basis(gens, order, cap)

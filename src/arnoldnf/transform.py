@@ -1,11 +1,13 @@
 """Exact steps that drive a germ toward its normal form.
 
-Most are substitutions that keep the germ right equivalent to the
-input: linear changes straightening a lowest jet, shears generated by
-the Jacobian that empty a graded layer, square completion behind the
-splitting of the quadratic part, and rescalings that set marked
-coefficients to one.  `even_quartic_form` instead reads the X_9 normal
-form off the quartic jet, to which such a germ is right equivalent.
+`split_germ` restricts a germ to the critical graph of its Morse
+variables (the splitting lemma), leaving a residual in at most two
+variables.  Most other steps are substitutions that keep the germ right
+equivalent to the input: linear changes straightening a lowest jet,
+shears generated by the Jacobian that empty a graded layer, and
+rescalings that set marked coefficients to one.  `even_quartic_form`
+instead reads the X_9 normal form off the quartic jet, to which such a
+germ is right equivalent.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ class SplitResult:
     the Milnor count (Mather's test, see `milnor_number`); for corank
     one, x^(mu+1) is (mu+1)-determined, and a Morse germ 2-determined.
     Both `mu` and `determinacy` are None when the germ is not isolated.
+
+    `residual` is exact through the truncation bound `split_germ`
+    accepted, and that bound is at least `determinacy`: the residual
+    shares its k-jet with the true one, hence is right equivalent to it.
+    Terms above the bound were never computed.
     """
 
     __slots__ = ("corank", "rank", "residual", "mu", "determinacy")
@@ -142,26 +149,37 @@ def _diagonalize(matrix):
     return p, diagonal, rank
 
 
-def _complete_squares(g, diagonal, rank, bound):
+def _morse_split(g, diagonal, rank, names, bound, phi=None):
+    """Residual of the splitting lemma through degree `bound`, and the
+    critical graph it restricts to.
+
+    The first `rank` variables z of g carry its quadratic part
+    sum d_i * z_i^2, and the others, renamed to `names`, span the
+    kernel.  The graph z = phi(x) on which every dg/dz_i vanishes is
+    the fixed point of phi_i <- phi_i - (dg/dz_i)(phi, x) / (2 * d_i),
+    iterated from zero or from the graph `phi` of a lower bound; each
+    round gains at least one order.  Every dg/dz_i vanishes on the true
+    graph, so an error of order k in phi moves g(phi, x) only in degrees
+    2k and up: a graph exact through degree bound // 2 gives the
+    residual g(phi, x) exactly through degree `bound` (the splitting
+    lemma, Greuel, Lossen and Shustin, Thm I.2.47).
+    """
     vars = g.vars
-    trunc = ((1,) * len(vars), bound)
+    if not rank:
+        return SparsePoly(names, wjet(g, (1,) * len(vars), bound).terms), []
+    images = {v: SparsePoly.variable(names, w) for v, w in zip(vars[rank:], names)}
+    grads = [diff(g, i) for i in range(rank)]
+    steps = [from_rational(1) / (2 * d) for d in diagonal[:rank]]
+    if phi is None:
+        phi = [SparsePoly.zero(names)] * rank
+    trunc = ((1,) * len(names), bound // 2)
     while True:
-        offending = [
-            e
-            for e in g.terms
-            if any(e[i] for i in range(rank))
-            and not (sum(e) == 2 and any(e[i] == 2 for i in range(rank)))
-        ]
-        if not offending:
-            return g
-        target = min(offending, key=term_sort_key)
-        i = next(i for i in range(rank) if target[i])
-        c = g.coeff(target)
-        stem = list(target)
-        stem[i] -= 1
-        shift = SparsePoly.monomial(vars, stem, c / (2 * diagonal[i]))
-        image = SparsePoly.variable(vars, vars[i]) - shift
-        g = substitute(g, {vars[i]: image}, truncation=trunc)
+        images.update(zip(vars, phi))
+        slopes = [substitute(dg, images, truncation=trunc) for dg in grads]
+        if all(s.is_zero() for s in slopes):
+            break
+        phi = [p - s * c for p, s, c in zip(phi, slopes, steps)]
+    return substitute(g, images, truncation=((1,) * len(names), bound)), phi
 
 
 def split_germ(f):
@@ -170,34 +188,33 @@ def split_germ(f):
 
     The residual comes back over canonical variables ("x",) or
     ("x", "y") depending on the corank; for corank above two no
-    residual is produced.  Its Milnor number is certified against the
-    truncation bound used during square completion; None means no
-    certificate was reached below the Bezout style cutoff, so the
-    singularity is not isolated.  The same Milnor count yields the
-    residual's determinacy degree, which the corank two reduction cuts
-    at.
+    residual is produced, and corank zero is A_1 without splitting.
+    The residual is computed exactly through a truncation bound, and
+    the first bound that holds its determinacy jet is accepted: a germ
+    determined by its k-jet, k <= bound, is right equivalent to the true
+    residual, which shares that jet.  For corank two the Milnor count
+    capped at the bound certifies only staircase tops t <= bound - 2,
+    so it runs once per isolated germ.  No certificate below a Bezout
+    style cutoff means the singularity is not isolated.
     """
     n = len(f.vars)
-    matrix = _quadratic_matrix(f)
-    change, diagonal, rank = _diagonalize(matrix)
+    change, diagonal, rank = _diagonalize(_quadratic_matrix(f))
     corank = n - rank
     if corank > 2:
         return SplitResult(corank, rank, None, None)
+    if corank == 0:
+        return SplitResult(0, rank, SparsePoly((), {}), 1, 2)
+    # a linear change never raises the degree: apply it once, untruncated
+    g = apply_linear(f, change)
+    names = ("x", "y")[:corank]
     degree = max(f.total_degree(), 2)
     cutoff = (degree - 1) ** n + 3
     bound = max(2 * degree, 10)
+    phi = None
     while True:
-        g = apply_linear(f, change, bound)
-        g = _complete_squares(g, diagonal, rank, bound)
-        residual_terms = {}
-        for e, c in g.terms.items():
-            if any(e[i] for i in range(rank)):
-                continue
-            residual_terms[tuple(e[i] for i in range(rank, n))] = c
-        names = ("x", "y")[:corank]
-        residual = SparsePoly(names, residual_terms)
+        residual, phi = _morse_split(g, diagonal, rank, names, bound, phi)
         milnor = _residual_milnor(residual, corank, bound)
-        if milnor is not None and milnor[0] + 2 <= bound:
+        if milnor is not None:
             return SplitResult(corank, rank, residual, *milnor)
         if bound > cutoff:
             return SplitResult(corank, rank, residual, None)
@@ -205,9 +222,11 @@ def split_germ(f):
 
 
 def _residual_milnor(residual, corank, bound):
-    """(mu, determinacy degree) of the residual; None when not isolated."""
-    if corank == 0:
-        return 1, 2
+    """(mu, determinacy degree) of the residual; None when not isolated.
+
+    The degree is at most `bound` whenever it is found: a corank one
+    residual c*x^k + ... is cut at the bound, and the Milnor count capped
+    there certifies only staircase tops t <= bound - 2."""
     if corank == 1:
         if residual.is_zero():
             return None
@@ -225,9 +244,12 @@ def _residual_milnor(residual, corank, bound):
 
 def apply_linear(f, rows, bound=None):
     """Linear substitution sending old variable i to the combination
-    rows[i] of the new variables; truncates at standard degree `bound`."""
+    rows[i] of the new variables; truncates at standard degree `bound`.
+    The identity change only truncates."""
     vars = f.vars
     n = len(vars)
+    if all(c == int(i == j) for i, row in enumerate(rows) for j, c in enumerate(row)):
+        return f if bound is None else wjet(f, (1,) * n, bound)
     images = {}
     for i, name in enumerate(vars):
         img = SparsePoly.zero(vars)

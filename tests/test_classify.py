@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -438,6 +439,50 @@ def test_non_isolated_rejected():
 def test_non_isolated_germs_rejected(text, vars):
     with pytest.raises(Rejection) as exc:
         classify(P(text, vars))
+    assert exc.value.reason == "non-isolated"
+
+
+def _partials_share_a_curve_through_origin(text):
+    # test-only oracle: a common factor of the partials that vanishes at
+    # the origin is a curve of critical points through it
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    f = sympy.sympify(text.replace("^", "**"))
+    common = sympy.gcd(sympy.diff(f, x), sympy.diff(f, y))
+    return common.subs({x: 0, y: 0}) == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "y^2+y^3+x*y^3+1/2*x^3*y^6",
+        "3/2*x^2+1/2*x^2*y^6-1/3*x^3*y+1/2*x^3*y^3",
+        "-3*y^2-x*y^3+1/2*x^4*y^4+1/2*x^6*y^2",
+        "x^2+x^2*y^3+3/2*x^3*y^5-3*x^4*y^4-x^6*y^2",
+        "-3*x^2-x^2*y-1/3*x^3*y+3/2*x^3*y^3",
+        "1/2*x^2-1/3*x^2*y^6-x^3*y^3-1/3*x^3*y^4-3*x^5*y",
+        "3/2*x^2-x^3+3/2*x^3*y^4+x^3*y^5-3*x^6*y",
+        "y^2-y^5+2*x^2*y^4+3/2*x^3*y^2-3*x^5*y^2",
+        "1/2*y^2+1/2*y^3+2*y^4+x^2*y^2-3*x^2*y^5",
+    ],
+)
+def test_non_isolated_corank_one_rejected_within_budget(text):
+    # the Morse variable's partial vanishes on a curve through 0, so the
+    # residual is zero at every bound; splitting term by term instead
+    # ran one substitution per term up to the cutoff, for tens of seconds
+    assert _partials_share_a_curve_through_origin(text)
+
+    def out_of_time(*args):
+        raise TimeoutError("splitting ran past its budget")
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.alarm(4)
+    try:
+        with pytest.raises(Rejection) as exc:
+            classify(P(text))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert exc.value.reason == "non-isolated"
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 from arnoldnf.localalg import (
@@ -9,8 +10,9 @@ from arnoldnf.localalg import (
     mora_nf,
     standard_basis,
 )
-from arnoldnf.poly import SparsePoly, parse_poly, substitute
+from arnoldnf.poly import SparsePoly, parse_poly, poly_order, substitute
 from arnoldnf.scalars import QQ, adjoin_root, from_rational
+from harness_samples import harness_germs
 from milnor_oracle import brute_milnor
 
 
@@ -81,6 +83,44 @@ def test_milnor_over_a_radical_tower():
         g = substitute(f, images)
         assert not all(c.is_rational() for c in g.terms.values()), text
         assert milnor_number(g) == milnor_number(f), text
+
+
+def _degenerate_cone_germs(seed, count):
+    # lowest forms with a repeated linear factor, in a random frame,
+    # plus a pure power and a few terms above the order
+    rng = random.Random(seed)
+    coeffs = [1, -1, 2, -2, 3, Fraction(1, 2)]
+    patterns = [(3,), (2, 1), (4,), (3, 1), (2, 2), (2, 1, 1), (3, 2), (5,)]
+    for _ in range(count):
+        pattern = rng.choice(patterns)
+        d = sum(pattern)
+        cone = P("1")
+        for m in pattern:
+            line = P(f"x+({rng.choice(coeffs)})*y")
+            cone = cone * line ** m
+        tail = [
+            f"({rng.choice(coeffs)})*x^{a}*y^{k - a}"
+            for k in rng.sample(range(d + 1, 2 * d + 3), 2)
+            for a in (rng.randint(0, k),)
+        ]
+        power = f"({rng.choice(coeffs)})*{rng.choice('xy')}^{rng.randint(d + 1, 2 * d + 2)}"
+        yield cone + P("+".join(tail + [power]))
+
+
+def test_staircase_top_reaches_twice_the_order():
+    # milnor_number's first cap 2*d - 2, d = ord f, rests on t >= 2*d - 4
+    # for the staircase top t: proved when the tangent cone is reduced,
+    # checked here on the harness germs and on degenerate cones
+    germs = [f for _, f in harness_germs()]
+    germs += list(_degenerate_cone_germs(3, 60))
+    checked = 0
+    for f in germs:
+        found = milnor_number(f, with_top=True)
+        if found is None:
+            continue
+        assert found[1] >= 2 * poly_order(f, (1, 1)) - 4, f
+        checked += 1
+    assert checked >= 200
 
 
 def test_leading_exponents():

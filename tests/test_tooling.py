@@ -4,8 +4,9 @@
 when a traced run starts, so renaming or deleting one of them breaks
 `perfbench/run.py --trace 1` without failing any classifier test.  This
 loads the tracer by path and checks every name, then runs it once on a
-germ whose reduction works over a radical tower.  The last test counts
-the standard basis completions behind one classification.
+germ whose reduction works over a radical tower.  The last tests count
+the standard basis completions and substitutions behind the splitting
+of a germ.
 """
 
 import ast
@@ -17,11 +18,13 @@ import subprocess
 import sys
 from pathlib import Path
 
-from arnoldnf import localalg
+from arnoldnf import localalg, transform
 from arnoldnf.catalog import instantiate
 from arnoldnf.classify import classify
-from arnoldnf.poly import parse_poly, substitute
+from arnoldnf.poly import parse_poly, poly_order, substitute
+from arnoldnf.scalars import from_rational
 from arnoldnf.transform import split_germ
+from harness_samples import harness_germs
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "arnoldnf"
@@ -134,3 +137,57 @@ def test_determinacy_cut_costs_no_extra_standard_basis(monkeypatch):
     assert (r.name, split.determinacy) == ("J_3,1", 13)
     assert splitting > 0
     assert len(calls) == splitting
+
+
+def test_split_germ_counts_one_milnor_number_from_its_first_cap(monkeypatch):
+    # the splitting accepts the first bound whose Milnor count certifies,
+    # so an isolated corank two germ is counted once, and the cap ladder
+    # starts at 2*ord - 2, the lowest cap that can certify
+    counts = []
+    basis, milnor = localalg._basis, localalg.milnor_number
+
+    def recording_basis(gens, order, cap=None):
+        counts[-1][1].append(cap)
+        return basis(gens, order, cap)
+
+    def recording_milnor(f, *args, **kwargs):
+        counts.append((poly_order(f, (1, 1)), []))
+        return milnor(f, *args, **kwargs)
+
+    monkeypatch.setattr(localalg, "_basis", recording_basis)
+    monkeypatch.setattr(transform, "milnor_number", recording_milnor)
+    corank_two = 0
+    for key, g in harness_germs():
+        counts.clear()
+        split = split_germ(g)
+        assert split.mu is not None, (key, g)
+        if split.corank != 2:
+            assert counts == [], (key, g)
+            continue
+        corank_two += 1
+        assert len(counts) == 1, (key, g)
+        (d, caps), = counts
+        assert caps[0] == 2 * d - 2, (key, g)
+    assert corank_two == 153
+
+
+def test_identity_linear_change_runs_no_substitution(monkeypatch):
+    germs = list(harness_germs(keys={"A_k", "J_3,p", "X_9"}))
+    calls = []
+    substituted = transform.substitute
+
+    def counting_substitute(*args, **kwargs):
+        calls.append(1)
+        return substituted(*args, **kwargs)
+
+    monkeypatch.setattr(transform, "substitute", counting_substitute)
+    one, zero = from_rational(1), from_rational(0)
+    for key, g in germs:
+        for rows in (((1, 0), (0, 1)), ((one, zero), (zero, one))):
+            want = substituted(g, {}, truncation=((1, 1), 9))
+            assert transform.apply_linear(g, rows, 9) == want, (key, g)
+            assert transform.apply_linear(g, rows) is g
+    assert calls == []
+    swapped = transform.apply_linear(parse_poly("x^3+y^5", ("x", "y")), ((0, 1), (1, 0)))
+    assert calls == [1]
+    assert swapped == parse_poly("y^3+x^5", ("x", "y"))

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 import signal
 from fractions import Fraction
@@ -49,6 +50,7 @@ from arnoldnf.transform import (
     split_germ,
     straighten_jet,
 )
+from harness_samples import harness_germs
 from milnor_oracle import brute_milnor
 
 # the package exports the classify function under the module's name
@@ -137,6 +139,114 @@ def test_split_reads_determinacy_off_the_milnor_count(text, mu, determinacy):
     assert (res.mu, res.determinacy) == (mu, determinacy)
     if res.corank == 2:
         assert milnor_number(res.residual, with_top=True) == (mu, determinacy - 2)
+
+
+def _complete_squares(g, diagonal, rank, bound):
+    # the splitting this package ran before the critical graph: one
+    # substitution z_i -> z_i - c/(2 d_i) * m per monomial z_i * m off
+    # the diagonal squares, kept as a reference
+    vars = g.vars
+    trunc = ((1,) * len(vars), bound)
+    while True:
+        offending = [
+            e
+            for e in g.terms
+            if any(e[i] for i in range(rank))
+            and not (sum(e) == 2 and any(e[i] == 2 for i in range(rank)))
+        ]
+        if not offending:
+            return g
+        target = min(offending, key=term_sort_key)
+        i = next(i for i in range(rank) if target[i])
+        c = g.coeff(target)
+        stem = list(target)
+        stem[i] -= 1
+        shift = SparsePoly.monomial(vars, stem, c / (2 * diagonal[i]))
+        image = SparsePoly.variable(vars, vars[i]) - shift
+        g = substitute(g, {vars[i]: image}, truncation=trunc)
+
+
+def _square_completion_residual(f, bound):
+    quadratic = transform_module._quadratic_matrix(f)
+    change, diagonal, rank = transform_module._diagonalize(quadratic)
+    g = _complete_squares(apply_linear(f, change, bound), diagonal, rank, bound)
+    names = ("x", "y")[: len(f.vars) - rank]
+    return SparsePoly(
+        names, {e[rank:]: c for e, c in g.terms.items() if not any(e[:rank])}
+    )
+
+
+def _graph_residuals(f, bounds):
+    # the residual at each bound, the iteration at each bound seeded by
+    # the graph of the one before, as split_germ runs it
+    quadratic = transform_module._quadratic_matrix(f)
+    change, diagonal, rank = transform_module._diagonalize(quadratic)
+    g = apply_linear(f, change)
+    names = ("x", "y")[: len(f.vars) - rank]
+    phi = None
+    for bound in bounds:
+        residual, phi = transform_module._morse_split(
+            g, diagonal, rank, names, bound, phi
+        )
+        yield bound, residual
+
+
+def _edge_a_k_germs():
+    rng = random.Random(5)
+    c = lambda: rng.choice([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)])
+    xyz, wxyz = ("x", "y", "z"), ("w", "x", "y", "z")
+    for _ in range(2):
+        # x^2 + c*y^2 + z^5 + c*x*z^3 + c*y*z^4 + c*x*y*z, and
+        # w^2 + x^2 + c*y^2 + z^7 + c*w*z^4 + c*x*y*z + c*y*z^5
+        yield SparsePoly.build(xyz, {
+            (2, 0, 0): 1, (0, 2, 0): c(), (0, 0, 5): 1,
+            (1, 0, 3): c(), (0, 1, 4): c(), (1, 1, 1): c(),
+        })
+        yield SparsePoly.build(wxyz, {
+            (2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): c(), (0, 0, 0, 7): 1,
+            (1, 0, 0, 4): c(), (0, 1, 1, 1): c(), (0, 0, 1, 5): c(),
+        })
+        for k in (20, 79):
+            a, b = c(), c()
+            yield P(f"(x+{a}*y^2)^2+{b}*y^{k + 1}")
+
+
+def _random_corank_germs(seed, count):
+    # a quadratic form of rank one or two in a random frame of three
+    # variables, plus two to four terms of degree three or four
+    rng = random.Random(seed)
+    vars = ("x", "y", "z")
+    coeffs = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 3)]
+    monos = [
+        e for e in itertools.product(range(5), repeat=3) if 3 <= sum(e) <= 4
+    ]
+    for _ in range(count):
+        f = SparsePoly.zero(vars)
+        for _ in range(rng.choice((1, 2))):
+            axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+            line = SparsePoly.build(vars, {e: rng.choice(coeffs) for e in axes})
+            f = f + line * line * rng.choice(coeffs)
+        tail = rng.sample(monos, rng.randint(2, 4))
+        yield f + SparsePoly.build(vars, {e: rng.choice(coeffs) for e in tail})
+
+
+def test_critical_graph_residual_matches_square_completion():
+    # the edge workload's A_k shapes in two to four variables and the
+    # harness A_k samples at the first two bounds split_germ tries, the
+    # second iteration seeded by the first graph; seeded random germs
+    # of three variables at the first bound
+    cases = list(_edge_a_k_germs())
+    cases += [f for _, f in harness_germs(keys={"A_k"})]
+    for f in cases:
+        start = max(2 * f.total_degree(), 10)
+        for bound, residual in _graph_residuals(f, (start, 2 * start)):
+            assert residual == _square_completion_residual(f, bound), (f, bound)
+    coranks = []
+    for f in _random_corank_germs(11, 12):
+        (_, residual), = _graph_residuals(f, (10,))
+        assert residual == _square_completion_residual(f, 10), f
+        coranks.append(len(residual.vars))
+    assert sorted(set(coranks)) == [1, 2]
 
 
 # -- straightening the lowest jet ------------------------------------
