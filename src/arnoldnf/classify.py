@@ -9,8 +9,9 @@ corner clearing, or a square completion trading a mixed end vertex for
 a pure power.  A matched shape is finished by the graded reduction,
 whose leftover coefficients at the marked positions are the moduli.
 
-The lowest jet is preserved by every move, so the vertex it pins down
-(the anchor) identifies the working face on every pass.  Classification
+The lowest jet is preserved by every move, so the vertex it pins down,
+the anchor, identifies the working face on every pass: the point of the
+straightened jet's support with the largest x exponent.  Classification
 either returns a Result, raises Rejection for germs outside the covered
 range, or raises PipelineError when an internal invariant breaks.
 """
@@ -48,18 +49,6 @@ from .transform import (
     split_germ,
     straighten_jet,
 )
-
-# vertex pinned down by the straightened lowest jet, per factor pattern
-_ANCHORS = {
-    "cube": (3, 0),
-    "square-line": (2, 1),
-    "three-lines": (2, 1),
-    "fourth-power": (4, 0),
-    "cube-line": (3, 1),
-    "double-plus-two": (4, 0),
-    "two-double-lines": (2, 2),
-}
-
 
 class Result:
     """Outcome of a successful classification.
@@ -161,7 +150,7 @@ def _corank_two(split, trace):
         g = even_quartic_form(g, bound)
         trace.append("quartic jet brought to even form")
         return _finish(g, x9_plan(), split, bound, trace)
-    anchor = _ANCHORS[kind]
+    anchor = max(wlayer(g, (1, 1), d).terms)
 
     for _ in range(3 * mu + 20):
         pg = newton_polygon(g)
@@ -315,19 +304,12 @@ def _complete_square_tail(g, vend, bound, trace):
 
 def _double_core(g, split, trace):
     key, indices = double_core_family(split.mu)
-    core = normalize_double_core(g, split.mu)
-    if core.mu != split.mu:
-        raise PipelineError("double core walk disagrees on the Milnor number")
-    positions = moduli_positions(key, indices)
-    if [core.monomial0, core.monomial1] != [e for _, e in positions]:
-        raise PipelineError("double core moduli landed off their positions")
+    names = [name for name, _ in moduli_positions(key, indices)]
+    parameters = list(zip(names, normalize_double_core(g, split.mu)))
     name = display_name(key, indices)
     trace.append(f"principal part is a perfect square; matched {name}")
-    parameters = [(positions[0][0], core.a0), (positions[1][0], core.a1)]
     parts = normal_form_parts(key, indices)
-    return Result(
-        key, indices, name, 2, split.mu, 2, parameters, parts, trace
-    )
+    return Result(key, indices, name, 2, split.mu, 2, parameters, parts, trace)
 
 
 def _finish(g, plan, split, bound, trace):

@@ -55,16 +55,6 @@ def uni_sub(f, g):
     return uni_make(out)
 
 
-def uni_mul(f, g):
-    if not f or not g:
-        return []
-    out = [from_rational(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = out[i + j] + a * b
-    return uni_make(out)
-
-
 def uni_monic(f):
     if not f:
         return f

@@ -148,8 +148,13 @@ class SparsePoly:
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers take nonnegative integers")
         result = SparsePoly.constant(self.vars, 1)
-        for _ in range(k):
-            result = result * self
+        base = self
+        while k:
+            if k & 1:
+                result = result * base
+            k >>= 1
+            if k:
+                base = base * base
         return result
 
 

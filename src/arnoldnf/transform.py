@@ -109,14 +109,6 @@ def _diagonalize(matrix):
         for r in range(n):
             p[r][i], p[r][j] = p[r][j], p[r][i]
 
-    def col_add(dst, src):
-        for i in range(n):
-            a[i][dst] = a[i][dst] + a[i][src]
-        for i in range(n):
-            a[dst][i] = a[dst][i] + a[src][i]
-        for i in range(n):
-            p[i][dst] = p[i][dst] + p[i][src]
-
     rank = 0
     for k in range(n):
         if a[k][k].is_zero():
@@ -138,7 +130,7 @@ def _diagonalize(matrix):
                 if pair is None:
                     break
                 i, j = pair
-                col_add(i, j)
+                col_axpy(i, j, -1)
                 if i != k:
                     col_swap(k, i)
         for j in range(k + 1, n):
@@ -290,27 +282,18 @@ def _binary_form_factors(jet, d):
     return linears, blocks
 
 
-def _factor_signature(linears, blocks):
-    sig = [m for _, m in linears]
-    for block, m in blocks:
-        sig.extend([m] * (len(block) - 1))
-    return tuple(sorted(sig, reverse=True))
-
-
-def _line_to_x(l):
-    """Rows of a linear change under which the form l becomes exactly
-    the first new variable, second new direction spanning ker(l)."""
-    p, q = l
-    if not p.is_zero():
-        return [[1 / p, -q], [from_rational(0), p]]
-    return [[from_rational(0), from_rational(1)], [1 / q, from_rational(0)]]
-
-
-def _line_to_y(l):
-    p, q = l
-    if not p.is_zero():
-        return [[-q, 1 / p], [p, from_rational(0)]]
-    return [[-q, from_rational(0)], [from_rational(0), 1 / q]]
+def _lines_of(jet, linears, blocks, m):
+    """The linear factors of multiplicity m, split ones first; an
+    unsplit block finds its roots only when they are asked for."""
+    yield from (l for l, mult in linears if mult == m)
+    for block, mult in blocks:
+        if mult != m:
+            continue
+        if len(block) == 3:
+            _, roots = quadratic_roots(_tower_of(jet), block[2], block[1], block[0])
+        else:
+            roots = [cubic_root(_tower_of(jet), block)[1]]
+        yield from ((from_rational(1), -r) for r in roots)
 
 
 def _pair_to_axes(l1, l2):
@@ -331,102 +314,74 @@ def _tower_of(f):
     return tower
 
 
+# a lowest jet by (degree, multiplicities of its linear factors): its
+# kind, the multiplicity of the factor sent to x and of the one sent to
+# y (None: the complement of the other), the variable whose shear then
+# removes the middle term, and the support the jet lands on
+_JETS = {
+    (3, (3,)): ("cube", 3, None, None, {(3, 0)}),
+    (3, (2, 1)): ("square-line", 2, 1, None, {(2, 1)}),
+    (3, (1, 1, 1)): ("three-lines", None, 1, 0, {(2, 1), (0, 3)}),
+    (4, (4,)): ("fourth-power", 4, None, None, {(4, 0)}),
+    (4, (3, 1)): ("cube-line", 3, 1, None, {(3, 1)}),
+    (4, (2, 2)): ("two-double-lines", 2, 2, None, {(2, 2)}),
+    (4, (2, 1, 1)): ("double-plus-two", 2, None, 1, {(4, 0), (2, 2)}),
+    (4, (1, 1, 1, 1)): ("four-distinct", None, None, None, None),
+}
+
+
 def straighten_jet(g, d, bound):
     """Linear change putting the degree d jet onto its catalog support.
 
-    Returns (g2, kind) where kind names the factor pattern of the jet.
-    For four distinct roots (kind "four-distinct") the germ is returned
-    untouched; every other pattern lands on a fixed support set.
+    Returns (g2, kind), kind naming the factor pattern of the jet.  Its
+    `_JETS` row picks the factors that frame the axes, the middle shear
+    and the support.  A factor p*x + q*y framing one axis alone gets the
+    complement (0, 1/p), or when p = 0, (1, 0) beside x and (-1/q, 0)
+    beside y.  Four distinct roots leave the germ untouched.
     """
     jet = wlayer(g, (1, 1), d)
     linears, blocks = _binary_form_factors(jet, d)
-    sig = _factor_signature(linears, blocks)
-
-    def of_mult(m):
-        for l, mult in linears:
-            if mult == m:
-                return l
-        return None
-
-    if d == 3 and sig == (3,):
-        g2 = apply_linear(g, _line_to_x(of_mult(3)), bound)
-        _expect_support(g2, 3, {(3, 0)})
-        return g2, "cube"
-    if d == 3 and sig == (2, 1):
-        g2 = apply_linear(g, _pair_to_axes(of_mult(2), of_mult(1)), bound)
-        _expect_support(g2, 3, {(2, 1)})
-        return g2, "square-line"
-    if d == 3 and sig == (1, 1, 1):
-        l = _one_simple_factor(jet, linears, blocks)
-        g2 = apply_linear(g, _line_to_y(l), bound)
-        g2 = _kill_middle(g2, 3, bound, pivot="x")
-        _expect_support(g2, 3, {(2, 1), (0, 3)})
-        return g2, "three-lines"
-    if d == 4 and sig == (4,):
-        g2 = apply_linear(g, _line_to_x(of_mult(4)), bound)
-        _expect_support(g2, 4, {(4, 0)})
-        return g2, "fourth-power"
-    if d == 4 and sig == (3, 1):
-        g2 = apply_linear(g, _pair_to_axes(of_mult(3), of_mult(1)), bound)
-        _expect_support(g2, 4, {(3, 1)})
-        return g2, "cube-line"
-    if d == 4 and sig == (2, 2):
-        pair = [l for l, m in linears if m == 2]
-        if len(pair) < 2:
-            block = next(b for b, m in blocks if m == 2)
-            _, roots = quadratic_roots(
-                _tower_of(jet), block[2], block[1], block[0]
-            )
-            pair.extend((from_rational(1), -r) for r in roots)
-        g2 = apply_linear(g, _pair_to_axes(pair[0], pair[1]), bound)
-        _expect_support(g2, 4, {(2, 2)})
-        return g2, "two-double-lines"
-    if d == 4 and sig == (2, 1, 1):
-        g2 = apply_linear(g, _line_to_x(of_mult(2)), bound)
-        g2 = _kill_middle(g2, 4, bound, pivot="y")
-        _expect_support(g2, 4, {(4, 0), (2, 2)})
-        return g2, "double-plus-two"
-    if d == 4 and sig == (1, 1, 1, 1):
-        return g, "four-distinct"
-    raise PipelineError(f"unrecognized jet factor pattern {sig}")
+    sig = [m for _, m in linears] + [m for b, m in blocks for _ in b[1:]]
+    sig = tuple(sorted(sig, reverse=True))
+    if (d, sig) not in _JETS:
+        raise PipelineError(f"unrecognized jet factor pattern {sig}")
+    kind, mx, my, middle, support = _JETS[d, sig]
+    if support is None:
+        return g, kind
+    lines = {m: _lines_of(jet, linears, blocks, m) for m in (mx, my) if m}
+    lx = next(lines[mx]) if mx else None
+    ly = next(lines[my]) if my else None
+    p, q = lx or ly
+    zero, one = from_rational(0), from_rational(1)
+    if lx is None:
+        lx = (zero, 1 / p) if not p.is_zero() else (-1 / q, zero)
+    if ly is None:
+        ly = (zero, 1 / p) if not p.is_zero() else (one, zero)
+    g2 = apply_linear(g, _pair_to_axes(lx, ly), bound)
+    if middle is not None:
+        g2 = _kill_middle(g2, d, bound, middle)
+    landed = set(wlayer(g2, (1, 1), d).terms)
+    if landed != support:
+        raise PipelineError(f"{kind} jet on {sorted(landed)}, not {sorted(support)}")
+    return g2, kind
 
 
-def _one_simple_factor(jet, linears, blocks):
-    for l, m in linears:
-        if m == 1:
-            return l
-    _, root = cubic_root(_tower_of(jet), blocks[0][0])
-    return (from_rational(1), -root)
+def _kill_middle(g, d, bound, var_index):
+    """Shear of x (var_index 0) by y, or of y by x, removing the middle
+    term of the jet y^(d-2)*(a0*x^2 + a1*x*y + a2*y^2), a0 nonzero, or
+    of its mirror image: x -> x - a1/(2*a0)*y absorbs the cross term."""
 
+    def at(e):
+        return e if var_index == 0 else e[::-1]
 
-def _kill_middle(g, d, bound, pivot):
-    """Shear removing the middle term of a straightened jet.
-
-    With pivot "x" the jet is y*(a0*x^2 + a1*x*y + a2*y^2), a0 nonzero,
-    and x absorbs the cross term.  With pivot "y" the jet is
-    x^2*(a0*x^2 + a1*x*y + a2*y^2), a2 nonzero, and y absorbs it.
-    """
     jet = wlayer(g, (1, 1), d)
-    zero = SparsePoly.zero(g.vars)
-    if pivot == "x":
-        a0 = jet.coeff((2, 1))
-        if a0.is_zero():
-            raise PipelineError("expected a nonzero square coefficient")
-        v1 = SparsePoly.monomial(g.vars, (0, 1), jet.coeff((1, 2)) / (2 * a0))
-        return shear(g, v1, zero, ((1, 1), bound))
-    a2 = jet.coeff((2, 2))
-    if a2.is_zero():
-        raise PipelineError("expected a nonzero cofactor tail")
-    v2 = SparsePoly.monomial(g.vars, (1, 0), jet.coeff((3, 1)) / (2 * a2))
-    return shear(g, zero, v2, ((1, 1), bound))
-
-
-def _expect_support(g, d, support):
-    jet = wlayer(g, (1, 1), d)
-    if set(jet.terms) != support:
-        raise PipelineError(
-            f"straightened jet support {sorted(jet.terms)} is not {sorted(support)}"
-        )
+    a0 = jet.coeff(at((2, d - 2)))
+    if a0.is_zero():
+        raise PipelineError("expected a nonzero square coefficient")
+    v = [SparsePoly.zero(g.vars)] * 2
+    c = jet.coeff(at((1, d - 1))) / (2 * a0)
+    v[var_index] = SparsePoly.monomial(g.vars, at((0, 1)), c)
+    return shear(g, *v, ((1, 1), bound))
 
 
 # -- emptying one graded level ---------------------------------------
@@ -1025,28 +980,17 @@ def _flow_images(vars, c, depth):
     return out
 
 
-class CoreResult:
-    __slots__ = ("index", "mu", "a0", "a1", "monomial0", "monomial1")
-
-    def __init__(self, index, mu, a0, a1, monomial0, monomial1):
-        self.index = index
-        self.mu = mu
-        self.a0 = a0
-        self.a1 = a1
-        self.monomial0 = monomial0
-        self.monomial1 = monomial1
-
-
 def normalize_double_core(f, mu):
-    """Normal form data for a germ whose principal part is a perfect
-    square gamma * (alpha x^2 + beta y^3)^2.
+    """The moduli (a0, a1) of a germ whose principal part is a perfect
+    square gamma * (alpha x^2 + beta y^3)^2 and whose Milnor number is
+    mu.
 
     Rescales the square onto (x^2 + y^3)^2, then walks the (3,2)
     layers: multiples of the core are sheared away, the first monomial
     that is no such multiple carries the leading modulus, a flow fixing
     the core clears the following layer, and the one after that holds
-    the second modulus.  The returned monomials follow the catalog
-    shape for the parity of mu.
+    the second modulus.  The values belong at the positions that
+    `catalog.moduli_positions` gives for `double_core_family(mu)`.
     """
     vars = f.vars
     d = mu - 15
@@ -1117,7 +1061,7 @@ def normalize_double_core(f, mu):
     _, r = _divide_core(wlayer(f, _CORE_WEIGHT, 14 + d))
     a1 = r.coeff(m2)
     if mu % 2 == 0:
-        half = (mu - 6) // 2
-        return CoreResult(d, mu, a0, a1, (1, half), (1, half + 1))
-    half = (mu - 9) // 2
-    return CoreResult(d, mu, -a0, -a1, (2, half), (2, half + 1))
+        return a0, a1
+    # for odd mu the walk reads y^(h+3) and the catalog writes x^2*y^h,
+    # and x^2*y^h = -y^(h+3) modulo the core
+    return -a0, -a1

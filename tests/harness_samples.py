@@ -4,9 +4,19 @@ Each catalog row gives its base germ with moduli drawn from the
 harness palette, then a linear and a tangent image of it cut where the
 harness cuts them, at mu + 2.  The draws follow `cli.run_harness` with
 `--count 3` for the given seed.
+
+`harness_golden_lines` records what `classify harness` prints and what
+each of its classifications returns.  `tests/golden/harness_seed1.jsonl`
+holds them for seed 1, and a tooling test compares them byte for byte;
+rewrite it with `PYTHONPATH=src python tests/harness_samples.py` only
+together with a CHANGES.md line that explains the change.
 """
 
+import contextlib
+import io
+import json
 import random
+from pathlib import Path
 
 from arnoldnf import cli
 from arnoldnf.poly import substitute
@@ -28,3 +38,39 @@ def harness_germs(seed=1, keys=None):
         yield key, f0
         yield key, apply_linear(f0, linear, bound)
         yield key, substitute(f0, tangent, truncation=((1, 1), bound))
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "harness_seed1.jsonl"
+
+
+def harness_golden_lines(seed=1, count=3):
+    """The harness stdout line, then one JSON line per classification
+    it makes: `cli.result_payload` at 30 digits with the trace, or the
+    error it raised."""
+    payloads = []
+    classify = cli.classify
+
+    def recording_classify(f):
+        try:
+            r = classify(f)
+        except Exception as exc:
+            payloads.append({"error": f"{type(exc).__name__}: {exc}"})
+            raise
+        payloads.append(cli.result_payload(r, 30, True))
+        return r
+
+    out = io.StringIO()
+    cli.classify = recording_classify
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            cli.main(["harness", "--seed", str(seed), "--count", str(count)])
+    finally:
+        cli.classify = classify
+    return out.getvalue().splitlines(keepends=True) + [
+        json.dumps(p, sort_keys=True) + "\n" for p in payloads
+    ]
+
+
+if __name__ == "__main__":
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text("".join(harness_golden_lines()))

@@ -11,6 +11,7 @@ from arnoldnf.errors import Rejection
 from arnoldnf.poly import SparsePoly, parse_poly, substitute
 from arnoldnf.scalars import approximate, format_scalar, format_tower
 from arnoldnf.transform import apply_linear
+from milnor_oracle import brute_milnor
 
 
 def P(text, vars=("x", "y")):
@@ -187,6 +188,50 @@ def test_y_series_long_arm():
     assert r.name == "Y_10,5"
     assert r.mu == 16
     assert rational_params(r) == {"a": Fraction(-1)}
+
+
+# After the double line jet x^2*y^2 is straightened (the variables swap,
+# so each germ below is read with x and y exchanged), the anchor is
+# (2, 2) and the boundary walk trades an end vertex (k + 2, 1) for a
+# pure power of x.  With y -> y - c*x^k the pieces x^2*y^2 + 2c*x^(k+2)*y
+# complete to x^2*(y + c*x^k)^2 - c^2*x^(2k+2); the unit monomials then
+# scale to one by x -> alpha*x, y -> y, leaving a = alpha^2.
+
+
+def test_y_series_square_completion():
+    # swapped: x^2*y^2 + x^4*y + x^9 + y^5; y -> y - x^2/2 leaves
+    # -x^6/4 + x^2*y^2 + y^5, so alpha^6 = -4 and a^3 = -4
+    f = P("x^2*y^2+x*y^4+y^9+x^5")
+    r = classify(f)
+    assert (r.name, r.mu) == ("Y_6,5", 12)
+    assert brute_milnor(f) == 12
+    assert "completed the square: y by -(1/2)*x^2" in r.trace
+    assert params_of(r)["a"] ** 3 == -4
+
+
+def test_y_series_square_completion_long_arms():
+    # swapped: x^2*y^2 + x^5*y + x^9 + y^6; y -> y - x^3/2 leaves
+    # -x^8/4 + x^2*y^2 + y^6, so alpha^8 = -4 and a^4 = -4
+    f = P("x^2*y^2+x*y^5+x^6+y^9")
+    r = classify(f)
+    assert (r.name, r.mu) == ("Y_8,6", 15)
+    assert brute_milnor(f) == 15
+    assert "completed the square: y by -(1/2)*x^3" in r.trace
+    assert params_of(r)["a"] ** 4 == -4
+
+
+def test_y_series_exposed_x_end():
+    # swapped: x^2*y^2 + x^5*y + y^5 has no pure power of x; the face
+    # shift y -> y + x^3 exposes one, making the face jet
+    # x^2*y^2 + 3*x^5*y + 2*x^8, and its square completion
+    # y -> y - 3/2*x^3 leaves x^2*y^2 - x^8/4 + y^5, so alpha^8 = -4
+    # and a^4 = -4
+    f = P("x^2*y^2+x*y^5+x^5")
+    r = classify(f)
+    assert (r.name, r.mu) == ("Y_8,5", 14)
+    assert brute_milnor(f) == 14
+    assert "shifted y by 1 along the face" in r.trace
+    assert params_of(r)["a"] ** 4 == -4
 
 
 # -- bimodal families ------------------------------------------------

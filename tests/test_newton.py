@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
 from arnoldnf.newton import (
     cubic_root,
@@ -19,7 +20,6 @@ from arnoldnf.newton import (
     uni_gcd,
     uni_make,
     uni_monic,
-    uni_mul,
     uni_squarefree,
     uni_yun,
 )
@@ -27,8 +27,21 @@ from arnoldnf.poly import parse_poly
 from arnoldnf.scalars import QQ, from_rational
 
 
+T = sp.Symbol("t")
+
+
 def P(text):
     return parse_poly(text, ("x", "y"))
+
+
+def uni_of(expr):
+    """Coefficient list, lowest first, of a univariate sympy polynomial."""
+    coeffs = sp.Poly(expr, T).all_coeffs()[::-1]
+    return uni_make([Fraction(int(c.p), int(c.q)) for c in coeffs])
+
+
+def sympy_of(f):
+    return sum(sp.Rational(c.as_fraction()) * T**k for k, c in enumerate(f))
 
 
 def test_uni_divmod_and_gcd():
@@ -46,11 +59,8 @@ def test_uni_yun():
         (uni_make([-1, 1]), 1),
         (uni_make([1, 1]), 2),
     ]
-    rebuilt = uni_make([1])
-    for b, m in blocks:
-        for _ in range(m):
-            rebuilt = uni_mul(rebuilt, b)
-    assert rebuilt == uni_make([-1, -1, 1, 1])
+    rebuilt = sp.Mul(*(sympy_of(b) ** m for b, m in blocks))
+    assert uni_of(rebuilt) == uni_make([-1, -1, 1, 1])
     assert uni_squarefree(uni_make([-1, 0, 1]))
     assert not uni_squarefree(uni_make([1, 2, 1]))
 
@@ -68,8 +78,7 @@ def test_rational_roots_with_large_coefficients():
     # its divisors by trial division
     r = Fraction(10 ** 12 + 39, 999983)
     s = Fraction(-(10 ** 12 + 61), 7)
-    f = uni_mul(uni_make([-r, 1]), uni_make([-r, 1]))
-    f = uni_mul(uni_mul(f, uni_make([-s, 1])), uni_make([3, 0, 1]))
+    f = uni_of((T - sp.Rational(r)) ** 2 * (T - sp.Rational(s)) * (T**2 + 3))
     assert rational_roots(f) == [s, r]
 
 

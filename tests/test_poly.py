@@ -66,6 +66,21 @@ def test_arithmetic():
     assert (2 * x - x - x).is_zero()
 
 
+def test_power_by_repeated_squaring(monkeypatch):
+    # x^30 takes 4 squarings and 4 products, not 30 products
+    calls = []
+    mul = SparsePoly.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(SparsePoly, "__mul__", counting_mul)
+    assert P("x") ** 30 == SparsePoly.monomial(("x", "y"), (30, 0))
+    assert len(calls) <= 10
+    assert P("x+y") ** 0 == SparsePoly.constant(("x", "y"), 1)
+
+
 def test_algebraic_coefficients():
     tower, r2 = adjoin_root(QQ, 2, 2)
     x = SparsePoly.variable(("x", "y"), "x")

@@ -4,9 +4,9 @@
 when a traced run starts, so renaming or deleting one of them breaks
 `perfbench/run.py --trace 1` without failing any classifier test.  This
 loads the tracer by path and checks every name, then runs it once on a
-germ whose reduction works over a radical tower.  The last tests count
+germ whose reduction works over a radical tower.  Later tests count
 the standard basis completions and substitutions behind the splitting
-of a germ.
+of a germ, and the last holds the seed-1 harness to its golden file.
 """
 
 import ast
@@ -24,7 +24,7 @@ from arnoldnf.classify import classify
 from arnoldnf.poly import parse_poly, poly_order, substitute
 from arnoldnf.scalars import from_rational
 from arnoldnf.transform import split_germ
-from harness_samples import harness_germs
+from harness_samples import GOLDEN, harness_germs, harness_golden_lines
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "arnoldnf"
@@ -191,3 +191,13 @@ def test_identity_linear_change_runs_no_substitution(monkeypatch):
     swapped = transform.apply_linear(parse_poly("x^3+y^5", ("x", "y")), ((0, 1), (1, 0)))
     assert calls == [1]
     assert swapped == parse_poly("y^3+x^5", ("x", "y"))
+
+
+def test_harness_matches_golden_file():
+    # a refactor keeps the harness report and every classification it
+    # makes byte for byte; see `harness_samples` before rewriting the file
+    want = GOLDEN.read_text().splitlines(keepends=True)
+    got = harness_golden_lines()
+    assert len(got) == len(want) == 217
+    for i, (line, golden) in enumerate(zip(got, want)):
+        assert line == golden, f"line {i + 1} of {GOLDEN.name}"

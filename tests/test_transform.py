@@ -11,6 +11,7 @@ from arnoldnf.catalog import (
     FAMILIES,
     FAMILY,
     display_name,
+    double_core_family,
     instantiate,
     moduli_positions,
 )
@@ -90,6 +91,15 @@ def test_split_corank_two_residual_exact():
     assert (res.residual - P("y^3+x^3*y")).is_zero()
     assert res.mu == 7
     assert brute_milnor(P("y^3+x^3*y")) == 7
+
+
+def test_split_quadratic_part_without_diagonal():
+    # x*y has no square to pivot on, so the diagonalization first adds
+    # one column to another: x*y = (x + y)^2 / 4 - (x - y)^2 / 4
+    f = P("x*y+z^3", ("x", "y", "z"))
+    res = split_germ(f)
+    assert (res.corank, res.rank, res.mu) == (1, 2, 2)
+    assert classify(f).name == "A_2"
 
 
 def test_split_five_variables():
@@ -315,6 +325,16 @@ def test_straighten_double_line_plus_pair():
     assert jet.coeff((4, 0)) == Fraction(3, 4)
     assert jet.coeff((2, 2)) == 1
     assert set(jet.terms) == {(4, 0), (2, 2)}
+
+
+def test_straighten_lone_line_without_x_coefficient():
+    # a factor p*x + q*y framing one axis alone gets the complement
+    # (0, 1/p); when p = 0 it is (1, 0) for x, a swap, and (-1/q, 0)
+    # for y, which sends x to -x
+    g2, kind = straighten_jet(P("y^3+x^4"), 3, 12)
+    assert (kind, g2) == ("cube", P("x^3+y^4"))
+    g2, kind = straighten_jet(P("x^2*y+y^3+x^5"), 3, 12)
+    assert (kind, g2) == ("three-lines", P("x^2*y+y^3-x^5"))
 
 
 def test_straighten_four_distinct_untouched():
@@ -896,15 +916,19 @@ def test_expose_end_skips_the_roots_of_the_end():
 # -- germs built on a double core ------------------------------------
 
 
+def _core_index_and_positions(mu):
+    """The W# index i = mu - 15 and the catalog's moduli positions."""
+    key, indices = double_core_family(mu)
+    return indices[1], [e for _, e in moduli_positions(key, indices)]
+
+
 def test_double_core_even_index():
     f = P("x^4+2*x^2*y^3+y^6+x*y^5")
     assert milnor_number(f) == 16
-    res = normalize_double_core(f, 16)
-    assert res.index == 1
-    assert res.monomial0 == (1, 5)
-    assert res.monomial1 == (1, 6)
-    assert res.a0 == 1
-    assert res.a1.is_zero()
+    a0, a1 = normalize_double_core(f, 16)
+    assert _core_index_and_positions(16) == (1, [(1, 5), (1, 6)])
+    assert a0 == 1
+    assert a1.is_zero()
 
 
 def test_double_core_odd_index():
@@ -913,34 +937,32 @@ def test_double_core_odd_index():
     # y^7 leave (1/6)*y^5*(x^2+y^3) + (1/12)*y^8 on the next layer
     f = P("x^4+2*x^2*y^3+y^6+y^7+y^8")
     assert milnor_number(f) == 17
-    res = normalize_double_core(f, 17)
-    assert res.index == 2
-    assert res.monomial0 == (2, 4)
-    assert res.monomial1 == (2, 5)
-    assert res.a0 == -1
-    assert res.a1 == Fraction(-1, 12)
+    a0, a1 = normalize_double_core(f, 17)
+    assert _core_index_and_positions(17) == (2, [(2, 4), (2, 5)])
+    assert a0 == -1
+    assert a1 == Fraction(-1, 12)
 
 
 def test_double_core_catalog_gauge_round_trips():
     nf = B({(2, 0): 1, (0, 3): 1}) ** 2
     nf = nf + SparsePoly.monomial(("x", "y"), (2, 4), Fraction(-2))
     nf = nf + SparsePoly.monomial(("x", "y"), (2, 5), Fraction(1))
-    res = normalize_double_core(nf, 17)
-    assert res.a0 == -2
-    assert res.a1 == 1
+    a0, a1 = normalize_double_core(nf, 17)
+    assert _core_index_and_positions(17)[1] == [(2, 4), (2, 5)]
+    assert a0 == -2
+    assert a1 == 1
 
 
 def test_double_core_flow_is_canonical():
     f = P("x^4+2*x^2*y^3+y^6+x*y^5+y^7")
     assert milnor_number(f) == 16
-    res = normalize_double_core(f, 16)
-    assert res.a0 == 1
+    a0, a1 = normalize_double_core(f, 16)
+    assert a0 == 1
+    _, (m0, m1) = _core_index_and_positions(16)
     nf = B({(2, 0): 1, (0, 3): 1}) ** 2
-    nf = nf + SparsePoly.monomial(("x", "y"), res.monomial0, res.a0)
-    nf = nf + SparsePoly.monomial(("x", "y"), res.monomial1, res.a1)
-    res2 = normalize_double_core(nf, 16)
-    assert res2.a0 == res.a0
-    assert res2.a1 == res.a1
+    nf = nf + SparsePoly.monomial(("x", "y"), m0, a0)
+    nf = nf + SparsePoly.monomial(("x", "y"), m1, a1)
+    assert normalize_double_core(nf, 16) == (a0, a1)
 
 
 def test_double_core_coordinate_invariance():
@@ -950,19 +972,16 @@ def test_double_core_coordinate_invariance():
     image = P("x+y^3")
     g = substitute(f, {"x": image})
     assert milnor_number(g) == 16
-    res = normalize_double_core(f, 16)
-    res2 = normalize_double_core(g, 16)
-    assert res2.a0 == res.a0
-    assert res2.a1 == res.a1
+    assert normalize_double_core(g, 16) == normalize_double_core(f, 16)
 
 
 def test_double_core_rescales_the_square():
     f = P("x^4+4*x^2*y^3+4*y^6+y^7")
     assert milnor_number(f) == 17
-    res = normalize_double_core(f, 17)
-    assert res.index == 2
-    assert res.a0 ** 6 == Fraction(1, 4 ** 7)
-    assert abs(float(approximate(res.a0, 8)) + 4.0 ** (-7.0 / 6.0)) < 1e-6
+    a0, _ = normalize_double_core(f, 17)
+    assert _core_index_and_positions(17)[0] == 2
+    assert a0 ** 6 == Fraction(1, 4 ** 7)
+    assert abs(float(approximate(a0, 8)) + 4.0 ** (-7.0 / 6.0)) < 1e-6
 
 
 def test_double_core_rejects_non_square_jet():
