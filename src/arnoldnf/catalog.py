@@ -11,8 +11,9 @@ and Varchenko, *Singularities of Differentiable Maps* I).
 The recognizers below map what the boundary walk found (a Newton
 face, a corner, a quartic jet with four distinct lines, a perfect
 square core) to a family key, its indices and the grading of the
-reduction.  A `Plan` reads everything else from the row, and so do the
-normal form display, `instantiate` and the harness.
+reduction.  A `Plan` reads everything else from the row, and so do
+`classify.Result`, the normal form display, `instantiate` and the
+harness.
 """
 
 from fractions import Fraction
@@ -159,7 +160,6 @@ class Plan:
         "key",
         "indices",
         "mu",
-        "modality",
         "weights",
         "level",
         "dprime",
@@ -174,7 +174,6 @@ class Plan:
         self.key = key
         self.indices = indices
         self.mu = fam.mu(*indices)
-        self.modality = fam.modality
         self.weights = weights
         self.level = level
         self.middle = middle

@@ -17,6 +17,7 @@ range, or raises PipelineError when an internal invariant breaks.
 """
 
 from .catalog import (
+    FAMILY,
     corner_plan,
     display_name,
     double_core_family,
@@ -53,10 +54,11 @@ from .transform import (
 class Result:
     """Outcome of a successful classification.
 
-    `parameters` is an ordered list of (name, scalar) pairs giving the
-    exact moduli; `parts` describes the normal form as (label, exponent)
-    pairs, label 1 meaning a unit monomial; `trace` records the
-    reduction steps in order.
+    `key` and `indices` pick the row of `catalog.FAMILIES` that gives
+    `name`, `modality` and `parts`, the normal form as (label, exponent)
+    pairs, label 1 meaning a unit monomial; `parameters` is an ordered
+    list of (name, scalar) pairs giving the exact moduli; `trace`
+    records the reduction steps in order.
 
     The parameter values do not change under a tangent to identity
     change of coordinates.  Under a general change they are fixed only
@@ -80,17 +82,15 @@ class Result:
         "trace",
     )
 
-    def __init__(
-        self, key, indices, name, modality, mu, corank, parameters, parts, trace
-    ):
+    def __init__(self, key, indices, mu, corank, parameters, trace):
         self.key = key
         self.indices = indices
-        self.name = name
-        self.modality = modality
+        self.name = display_name(key, indices)
+        self.modality = FAMILY[key].modality
         self.mu = mu
         self.corank = corank
         self.parameters = parameters
-        self.parts = parts
+        self.parts = normal_form_parts(key, indices)
         self.trace = trace
 
     def __repr__(self):
@@ -119,19 +119,12 @@ def classify(f):
         f"quadratic part has rank {split.rank}, corank {split.corank}",
         f"Milnor number {split.mu}",
     ]
-    if split.corank == 0:
-        return _plain("A_k", (1,), 0, 1, 0, trace)
-    if split.corank == 1:
-        k = split.mu
-        return _plain("A_k", (k,), 0, k, 1, trace)
+    if split.corank < 2:
+        # corank zero is A_1, whose Milnor number is 1
+        r = Result("A_k", (split.mu,), split.mu, split.corank, [], trace)
+        trace.append(f"matched {r.name}")
+        return r
     return _corank_two(split, trace)
-
-
-def _plain(key, indices, modality, mu, corank, trace):
-    name = display_name(key, indices)
-    trace.append(f"matched {name}")
-    parts = normal_form_parts(key, indices)
-    return Result(key, indices, name, modality, mu, corank, [], parts, trace)
 
 
 def _corank_two(split, trace):
@@ -306,10 +299,9 @@ def _double_core(g, split, trace):
     key, indices = double_core_family(split.mu)
     names = [name for name, _ in moduli_positions(key, indices)]
     parameters = list(zip(names, normalize_double_core(g, split.mu)))
-    name = display_name(key, indices)
-    trace.append(f"principal part is a perfect square; matched {name}")
-    parts = normal_form_parts(key, indices)
-    return Result(key, indices, name, 2, split.mu, 2, parameters, parts, trace)
+    r = Result(key, indices, split.mu, 2, parameters, trace)
+    trace.append(f"principal part is a perfect square; matched {r.name}")
+    return r
 
 
 def _finish(g, plan, split, bound, trace):
@@ -337,17 +329,6 @@ def _finish(g, plan, split, bound, trace):
     parameters = [(pname, g.coeff(exps)) for pname, exps in plan.moduli]
     if plan.restriction is not None and plan.restriction(parameters[0][1]).is_zero():
         raise PipelineError("normal form landed on a forbidden stratum")
-    name = display_name(plan.key, plan.indices)
-    trace.append(f"matched {name}")
-    parts = normal_form_parts(plan.key, plan.indices)
-    return Result(
-        plan.key,
-        plan.indices,
-        name,
-        plan.modality,
-        plan.mu,
-        2,
-        parameters,
-        parts,
-        trace,
-    )
+    r = Result(plan.key, plan.indices, plan.mu, 2, parameters, trace)
+    trace.append(f"matched {r.name}")
+    return r

@@ -10,6 +10,7 @@ range, 1 for unusable input.
 """
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -338,6 +339,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _classify_parser():
     parser = _Parser(
         prog="classify",
@@ -357,6 +359,7 @@ def _classify_parser():
     return parser
 
 
+@functools.cache
 def _harness_parser():
     parser = _Parser(
         prog="classify harness",

@@ -17,7 +17,7 @@ import math
 from fractions import Fraction
 
 from .errors import PipelineError
-from .poly import SparsePoly
+from .poly import SparsePoly, weight_value, wlayer
 from .scalars import adjoin_root, from_rational
 
 # -- univariate polynomials over a tower -----------------------------
@@ -234,23 +234,15 @@ def cubic_root(tower, coeffs):
 # -- polygon ---------------------------------------------------------
 
 
-def pareto_minimal(points):
-    pts = sorted(set(points))
-    out = []
-    for p in pts:
-        if not any(
-            q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts
-        ):
-            out.append(p)
-    return out
-
-
 def _chain(points):
     """Lower left convex chain through the Pareto minimal points,
-    ordered by increasing first coordinate."""
-    pts = sorted(pareto_minimal(points))
+    ordered by increasing first coordinate.  In that order a point is
+    Pareto minimal when it lies below the chain's last point, which has
+    the lowest y seen so far."""
     chain = []
-    for p in pts:
+    for p in sorted(set(points)):
+        if chain and p[1] >= chain[-1][1]:
+            continue
         while len(chain) >= 2:
             a, b = chain[-2], chain[-1]
             cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
@@ -308,12 +300,7 @@ def newton_polygon(f):
 
 
 def face_jet(f, face):
-    wx, wy = face.weight
-    d = face.degree
-    return SparsePoly(
-        f.vars,
-        {e: c for e, c in f.terms.items() if wx * e[0] + wy * e[1] == d},
-    )
+    return wlayer(f, face.weight, face.degree)
 
 
 def face_span_points(face):
@@ -341,15 +328,12 @@ def two_face_grading(face1, face2):
     w1 = tuple(v * (common // d1) for v in face1.weight)
     w2 = tuple(v * (common // d2) for v in face2.weight)
     weights = (w1, w2)
-    pts = set()
-    for w_on, w_other in ((w1, w2), (w2, w1)):
-        for i in range(common // w_on[0] + 1):
-            rest = common - w_on[0] * i
-            if rest % w_on[1]:
-                continue
-            j = rest // w_on[1]
-            if w_other[0] * i + w_other[1] * j >= common:
-                pts.add((i, j))
+    pts = {
+        p
+        for face in (face1, face2)
+        for p in face_span_points(face)
+        if weight_value(weights, p) == common
+    }
     return weights, common, sorted(pts)
 
 

@@ -768,14 +768,7 @@ def rescale_to_unit(f, unit_exps):
     tower, t = adjoin_root(tower, r2[1], r2[2])
     rest = r1[2] * t ** (-r1[1])
     tower, s = adjoin_root(tower, r1[0], rest)
-    x, y = f.vars
-    f2 = substitute(
-        f,
-        {
-            x: SparsePoly.monomial(f.vars, (1, 0), s),
-            y: SparsePoly.monomial(f.vars, (0, 1), t),
-        },
-    )
+    f2 = apply_linear(f, ((s, 0), (0, t)))
     for e in unit_exps:
         if f2.coeff(e) != 1:
             raise PipelineError("rescaling failed to reach unit coefficients")
@@ -985,7 +978,11 @@ def normalize_double_core(f, mu):
     square gamma * (alpha x^2 + beta y^3)^2 and whose Milnor number is
     mu.
 
-    Rescales the square onto (x^2 + y^3)^2, then walks the (3,2)
+    Rescales the square onto (x^2 + y^3)^2 through `apply_linear`: x
+    by a fourth root of 1/alpha^2 gamma, then y by a sixth root of
+    1/beta^2 gamma, negated when the cross term would land on -2.  The
+    Euclid order of `rescale_to_unit` would adjoin other radicals and
+    change the tower layout of the moduli.  Then it walks the (3,2)
     layers: multiples of the core are sheared away, the first monomial
     that is no such multiple carries the leading modulus, a flow fixing
     the core clears the following layer, and the one after that holds
@@ -1010,14 +1007,7 @@ def normalize_double_core(f, mu):
         b = -b
     if c23 * a * a * b ** 3 != 2:
         raise PipelineError("cross coefficient did not land on 2")
-    f = substitute(
-        f,
-        {
-            "x": SparsePoly.monomial(vars, (1, 0), a),
-            "y": SparsePoly.monomial(vars, (0, 1), b),
-        },
-    )
-    f = wjet(f, _CORE_WEIGHT, bound)
+    f = wjet(apply_linear(f, ((a, 0), (0, b))), _CORE_WEIGHT, bound)
     core2 = _core(vars) ** 2
     if not (wlayer(f, _CORE_WEIGHT, 12) - core2).is_zero():
         raise PipelineError("core rescaling failed")

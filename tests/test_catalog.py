@@ -11,6 +11,7 @@ import pytest
 
 from arnoldnf.catalog import (
     FAMILIES,
+    FAMILY,
     corner_plan,
     double_core_family,
     moduli_positions,
@@ -130,7 +131,7 @@ def _fields(plan):
         plan.key,
         plan.indices,
         plan.mu,
-        plan.modality,
+        FAMILY[plan.key].modality,
         plan.dprime,
         plan.middle,
         plan.units,

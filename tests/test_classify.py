@@ -325,6 +325,52 @@ def test_round_trip_double_core():
     assert rational_params(r) == {"a0": Fraction(5), "a1": Fraction(-1, 2)}
 
 
+@pytest.mark.parametrize(
+    "key, indices, a0, a1",
+    [
+        ("W#_1,2q-1", (1, 1), Fraction(3), Fraction(-1, 2)),
+        ("W#_1,2q", (1, 2), Fraction(-2), Fraction(3, 2)),
+        ("W#_1,2q-1", (1, 3), Fraction(1, 2), Fraction(2)),
+    ],
+)
+def test_double_core_negative_cross_term(key, indices, a0, a1):
+    # under y -> -y the cross term x^2*y^3 lands on -2, and the y scale
+    # root is negated to send it back to 2
+    f = instantiate(key, indices, {"a0": a0, "a1": a1})
+    g = apply_linear(f, ((1, 0), (0, -1)))
+    assert g.coeff((2, 3)) == -2
+    r = classify(g)
+    assert (r.key, r.indices) == (key, indices)
+    assert rational_params(r) == {"a0": a0, "a1": a1}
+
+
+@pytest.mark.parametrize(
+    "text, name, values, towers",
+    [
+        (
+            "2*x^4+8*x^2*y^3+8*y^6+x*y^5+3*x*y^6",
+            "W#_1,1",
+            ["1/4*g1^3", "3/8*g1"],
+            [["g1 = (1/2)^(1/4)"]] * 2,
+        ),
+        (
+            "5*x^4+10*x^2*y^3+5*y^6+x*y^7+x*y^8+x^3*y^3",
+            "W#_1,3",
+            ["-1/5*g1", "1/5*g1*g2"],
+            [["g1 = (1/5)^(1/4)"], ["g1 = (1/5)^(1/4)", "g2 = (g1^2)^(1/3)"]],
+        ),
+    ],
+)
+def test_double_core_rescaling_through_radicals(text, name, values, towers):
+    # the square is scaled onto (x^2+y^3)^2 by a fourth root for x and a
+    # sixth root for y, adjoined in that order; the tower layout of the
+    # moduli depends on it
+    r = classify(P(text))
+    assert r.name == name
+    assert [format_scalar(v) for _, v in r.parameters] == values
+    assert [format_tower(v.tower) for _, v in r.parameters] == towers
+
+
 def test_round_trip_e19():
     f = instantiate("E_19", (19,), {"a0": Fraction(1, 2), "a1": Fraction(4)})
     r = classify(f)

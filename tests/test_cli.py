@@ -4,6 +4,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from arnoldnf import cli
 from arnoldnf.cli import equation_string, main, normal_form_string
 from arnoldnf.classify import classify
 from arnoldnf.poly import parse_poly
@@ -148,6 +149,28 @@ def test_smooth_germ_is_usage_error(capsys):
 def test_bad_digits(capsys):
     code, out, err = run(["--digits", "0", "x^2+y^2"], capsys)
     assert code == 1
+
+
+def test_repeated_calls_build_one_parser(monkeypatch, capsys):
+    # building the parser costs ten times what parsing does, so it is
+    # built once and every call, usage errors included, reuses it
+    built = []
+
+    class Counting(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs["prog"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counting)
+    cli._classify_parser.cache_clear()
+    try:
+        assert run(["x^2+y^3"], capsys)[0] == 0
+        assert run(["--json", "x^3+y^4"], capsys)[0] == 0
+        code, out, err = run(["--digits"], capsys)
+        assert code == 1 and "usage: classify" in err
+    finally:
+        cli._classify_parser.cache_clear()
+    assert built == ["classify"]
 
 
 # -- harness command -------------------------------------------------

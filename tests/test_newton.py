@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +25,7 @@ from arnoldnf.newton import (
     uni_squarefree,
     uni_yun,
 )
-from arnoldnf.poly import parse_poly
+from arnoldnf.poly import SparsePoly, parse_poly
 from arnoldnf.scalars import QQ, from_rational
 
 
@@ -139,6 +141,75 @@ def test_two_face_grading():
     assert degree == 20
     assert weights == ((6, 4), (5, 5))
     assert span == [(0, 5), (2, 2), (3, 1), (4, 0)]
+
+
+def _reference_chain(points):
+    # the quadratic Pareto filter, then the convex chain over what it keeps
+    pts = sorted(set(points))
+    minimal = [
+        p
+        for p in pts
+        if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in pts)
+    ]
+    chain = []
+    for p in minimal:
+        while len(chain) >= 2:
+            a, b = chain[-2], chain[-1]
+            cross = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+            if cross <= 0:
+                chain.pop()
+            else:
+                break
+        chain.append(p)
+    return chain
+
+
+def _random_support(rng):
+    # a small grid makes repeated x and dominated points common; a
+    # lattice segment adds collinear points on and above the boundary
+    n = rng.randint(1, 10)
+    points = [(rng.randint(0, 8), rng.randint(0, 8)) for _ in range(n)]
+    if rng.random() < 0.5:
+        (i0, j0), (i1, j1) = (0, rng.randint(2, 12)), (rng.randint(2, 12), 0)
+        g = math.gcd(i1 - i0, j0 - j1)
+        step = ((i1 - i0) // g, (j1 - j0) // g)
+        shift = rng.randint(0, 2)
+        points += [(i0 + k * step[0], j0 + k * step[1] + shift) for k in range(g + 1)]
+    return points
+
+
+def test_polygon_vertices_match_the_pareto_reference():
+    rng = random.Random(1604)
+    for _ in range(400):
+        points = _random_support(rng)
+        f = SparsePoly.build(("x", "y"), {e: 1 for e in points})
+        assert newton_polygon(f).vertices == _reference_chain(points), points
+
+
+def _reference_span(w1, w2, common):
+    pts = set()
+    for w_on, w_other in ((w1, w2), (w2, w1)):
+        for i in range(common // w_on[0] + 1):
+            rest = common - w_on[0] * i
+            if rest % w_on[1] == 0:
+                j = rest // w_on[1]
+                if w_other[0] * i + w_other[1] * j >= common:
+                    pts.add((i, j))
+    return sorted(pts)
+
+
+def test_two_face_span_matches_the_line_enumeration():
+    rng = random.Random(4774)
+    checked = 0
+    for _ in range(400):
+        points = _random_support(rng)
+        f = SparsePoly.build(("x", "y"), {e: 1 for e in points})
+        faces = newton_polygon(f).faces
+        for f1, f2 in zip(faces, faces[1:]):
+            (w1, w2), common, span = two_face_grading(f1, f2)
+            assert span == _reference_span(w1, w2, common)
+            checked += 1
+    assert checked > 50
 
 
 def test_face_decompose_and_compose():
