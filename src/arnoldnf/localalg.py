@@ -83,12 +83,6 @@ def _coeff_dicts(polys):
     return out
 
 
-def _poly(vars, d):
-    return SparsePoly(
-        vars, {e: from_rational(c) if type(c) is int else c for e, c in d.items()}
-    )
-
-
 def _strip(d):
     """Divide out the content of an integer dict; tower dicts pass."""
     if type(next(iter(d.values()))) is not int:
@@ -199,25 +193,6 @@ def _staircase(les, cap):
 
 
 # -- public entry points ---------------------------------------------
-
-
-def mora_nf(g, basis, order):
-    """Weak normal form of g against a reducer list.
-
-    The result is zero exactly when g lies in the ideal the basis
-    generates locally, provided the basis is a standard basis.  The
-    result is scaled arbitrarily; callers only use the ideal it spans.
-    """
-    if g.is_zero():
-        return g
-    dg, *db = _coeff_dicts([g, *basis])
-    return _poly(g.vars, _mora(dg, db, order))
-
-
-def standard_basis(gens, order):
-    """Standard basis of the local ideal the generators span."""
-    live = [g for g in gens if not g.is_zero()]
-    return [_poly(live[0].vars, d) for d in _basis(_coeff_dicts(live), order)]
 
 
 def _partials(f):

@@ -13,6 +13,7 @@ piecewise grading used along a Newton polygon.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import ParseError
@@ -336,38 +337,21 @@ def poly_str(f):
 # -- parsing ---------------------------------------------------------
 
 
+# Integers are decimal digit runs, exactly what `int` reads; names start
+# with a letter or "_"; "**" reads as "^"; any other non-space character
+# is an error at its position.
+_TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>\w+)|(?P<op>\*\*|[-+*^()/])|\S")
+
+
 def _tokenize(text):
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        if text.startswith("**", i):
-            tokens.append(("op", "^", i))
-            i += 2
-            continue
-        if ch in "+-*^()/":
-            tokens.append(("op", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("end", "", n))
+    for m in _TOKEN.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        bad_name = kind == "name" and not (value[0].isalpha() or value[0] == "_")
+        if kind is None or bad_name:
+            raise ParseError(f"unexpected character {value[0]!r}", m.start())
+        tokens.append((kind, "^" if value == "**" else value, m.start()))
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -385,21 +369,11 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_op(self, op):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", pos)
-        return self.take()
-
     def parse_expr(self):
-        kind, value, pos = self.peek()
-        negate = False
-        if kind == "op" and value in "+-":
+        # a leading minus is parse_base's unary minus
+        if self.peek()[:2] == ("op", "+"):
             self.take()
-            negate = value == "-"
         result = self.parse_term()
-        if negate:
-            result = -result
         while True:
             kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
@@ -460,7 +434,9 @@ class _Parser:
             return SparsePoly.variable(self.vars, value)
         if kind == "op" and value == "(":
             inner = self.parse_expr()
-            self.expect_op(")")
+            kind, value, pos = self.take()
+            if (kind, value) != ("op", ")"):
+                raise ParseError("expected ')'", pos)
             return inner
         if kind == "op" and value == "-":
             return -self.parse_factor()
@@ -480,7 +456,10 @@ def parse_poly(text, vars=None):
     else:
         vars = tuple(vars)
     parser = _Parser(tokens, vars)
-    result = parser.parse_expr()
+    try:
+        result = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nests too deeply", parser.peek()[2]) from None
     kind, value, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected {value!r}", pos)

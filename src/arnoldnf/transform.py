@@ -157,8 +157,6 @@ def _morse_split(g, diagonal, rank, names, bound, phi=None):
     lemma, Greuel, Lossen and Shustin, Thm I.2.47).
     """
     vars = g.vars
-    if not rank:
-        return SparsePoly(names, wjet(g, (1,) * len(vars), bound).terms), []
     images = {v: SparsePoly.variable(names, w) for v, w in zip(vars[rank:], names)}
     grads = [diff(g, i) for i in range(rank)]
     steps = [from_rational(1) / (2 * d) for d in diagonal[:rank]]
@@ -187,7 +185,9 @@ def split_germ(f):
     residual, which shares that jet.  For corank two the Milnor count
     capped at the bound certifies only staircase tops t <= bound - 2,
     so it runs once per isolated germ.  No certificate below a Bezout
-    style cutoff means the singularity is not isolated.
+    style cutoff means the singularity is not isolated.  A germ without
+    quadratic part is its own residual, exact at every bound, so one
+    Milnor count up to its Bezout cap decides it.
     """
     n = len(f.vars)
     change, diagonal, rank = _diagonalize(_quadratic_matrix(f))
@@ -196,9 +196,13 @@ def split_germ(f):
         return SplitResult(corank, rank, None, None)
     if corank == 0:
         return SplitResult(0, rank, SparsePoly((), {}), 1, 2)
+    names = ("x", "y")[:corank]
+    if not rank:
+        residual = SparsePoly(names, dict(f.terms))
+        milnor = _residual_milnor(residual, corank, None) or (None, None)
+        return SplitResult(corank, rank, residual, *milnor)
     # a linear change never raises the degree: apply it once, untruncated
     g = apply_linear(f, change)
-    names = ("x", "y")[:corank]
     degree = max(f.total_degree(), 2)
     cutoff = (degree - 1) ** n + 3
     bound = max(2 * degree, 10)
@@ -218,7 +222,8 @@ def _residual_milnor(residual, corank, bound):
 
     The degree is at most `bound` whenever it is found: a corank one
     residual c*x^k + ... is cut at the bound, and the Milnor count capped
-    there certifies only staircase tops t <= bound - 2."""
+    there certifies only staircase tops t <= bound - 2.  Without a bound
+    the count climbs to the Bezout cap of `milnor_number`."""
     if corank == 1:
         if residual.is_zero():
             return None

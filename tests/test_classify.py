@@ -234,6 +234,31 @@ def test_y_series_exposed_x_end():
     assert params_of(r)["a"] ** 4 == -4
 
 
+def test_y_series_sheared_double_line():
+    # x^2*y^2 + 2*x*y^4 + y^6 = y^2*(x + y^2)^2; swapped, y -> y - x^2
+    # shears the double line to x^2*y^2 and leaves y^5 - x^10 below it,
+    # so alpha^10 = -1 and a^5 = -1
+    f = P("x^2*y^2+2*x*y^4+y^6+x^5")
+    r = classify(f)
+    assert (r.name, r.mu) == ("Y_10,5", 16)
+    assert brute_milnor(f) == 16
+    assert "sheared y by -(1)*x^2" in r.trace
+    assert params_of(r)["a"] ** 5 == -1
+
+
+def test_j10_face_shift_with_equally_spaced_roots():
+    # the face cubic t^3 + t has equally spaced roots; x -> x + y^2 gives
+    # it a middle term, and x^3 + a*x^2*y^2 + y^6 has such a face cubic
+    # exactly when q = 2*a^3/27 + 1 vanishes, so a^3 = -27/2
+    f = P("x^3+x*y^4")
+    r = classify(f)
+    assert (r.name, r.mu) == ("J_10", 10)
+    assert "shifted x by 1 along the face" in r.trace
+    a = params_of(r)["a"]
+    assert a ** 3 == Fraction(-27, 2)
+    assert (2 * a ** 3 / 27 + 1).is_zero()
+
+
 # -- bimodal families ------------------------------------------------
 
 

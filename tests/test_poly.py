@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from arnoldnf.cli import main
 from arnoldnf.errors import ParseError
 from arnoldnf.poly import (
     SparsePoly,
@@ -38,6 +40,8 @@ def test_parse_features():
     assert f == P("2*x*y")
     assert parse_poly("x**3", ("x", "y")) == P("x^3")
     assert parse_poly("-(x - y)", ("x", "y")) == P("y-x")
+    # an Arabic-Indic digit is a decimal digit, which `int` reads
+    assert P("x^\u0663+\u0663*y") == P("x^3+3*y")
     g = parse_poly("z^2+w^3")
     assert g.vars == ("w", "z")
 
@@ -54,6 +58,41 @@ def test_parse_errors_carry_position():
         parse_poly("x +", ("x", "y"))
     with pytest.raises(ParseError):
         parse_poly("1/0", ("x", "y"))
+
+
+# one-digit integers, variables, operators, and characters the parser
+# must refuse: a superscript digit, an Arabic-Indic digit that `int`
+# reads as 3, a letter outside the variable list and a symbol
+_TOKENS = [*"0123456789", "x", "y", "q", *"+-*/^()", "**"]
+_TOKENS += ["\u00b2", "\u0663", "\u03b1", "$"]
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.sampled_from(_TOKENS), max_size=10))
+def test_any_token_string_parses_or_raises_parse_error(tokens):
+    # spaces keep every integer, hence every exponent, to one digit
+    text = " ".join(tokens)
+    for vars in (None, ("x", "y")):
+        try:
+            f = parse_poly(text, vars)
+        except ParseError as exc:
+            assert 0 <= exc.position <= len(text)
+        else:
+            assert isinstance(f, SparsePoly)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [("x^\u00b2+y^3", 2), ("12\u00b20*x", 2), ("(" * 400 + "x" + ")" * 400, None)],
+    ids=["superscript-exponent", "superscript-inside-integer", "deep-nesting"],
+)
+def test_unusable_text_ends_in_parse_error(text, position, capsys):
+    with pytest.raises(ParseError) as err:
+        parse_poly(text, ("x", "y"))
+    if position is not None:
+        assert err.value.position == position
+    assert main([text]) == 1
+    assert "parse error" in capsys.readouterr().err
 
 
 def test_arithmetic():

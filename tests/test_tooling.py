@@ -171,6 +171,27 @@ def test_split_germ_counts_one_milnor_number_from_its_first_cap(monkeypatch):
     assert corank_two == 153
 
 
+def test_germ_without_quadratic_part_runs_one_milnor_ladder(monkeypatch):
+    # with no Morse variable the residual is the germ itself at every
+    # bound, so one ladder climbs from 2*ord - 2 to the Bezout cap
+    # (d-1)^2 + 2 and decides a non-isolated germ once
+    caps = []
+    basis = localalg._basis
+
+    def recording_basis(gens, order, cap=None):
+        caps.append(cap)
+        return basis(gens, order, cap)
+
+    monkeypatch.setattr(localalg, "_basis", recording_basis)
+    split = split_germ(parse_poly("x^2*y^2+x^2*y^3", ("x", "y")))
+    assert (split.corank, split.mu) == (2, None)
+    assert caps == [6, 9, 13, 18]
+    caps.clear()
+    split = split_germ(parse_poly("2*(x^2+3*y^3)^2", ("x", "y")))
+    assert (split.corank, split.mu) == (2, None)
+    assert caps == [6, 9, 13, 19, 27]
+
+
 def test_identity_linear_change_runs_no_substitution(monkeypatch):
     germs = list(harness_germs(keys={"A_k", "J_3,p", "X_9"}))
     calls = []
