@@ -376,6 +376,32 @@ def _harness_parser():
     return parser
 
 
+# classify options that take a value, so that a value such as
+# "--digits -3" is not read as a germ
+_VALUE_OPTIONS = ("--digits", "--vars")
+
+
+def _germ_behind_dashes(argv):
+    """argv with a germ that starts with a minus sign, such as
+    "-x^3+y^4", moved behind "--" so that argparse reads it as the germ
+    and not as an unknown option.  A germ is any argument before "--"
+    that starts with a single "-", is not "-" or "-h" and is no option's
+    value; long options, abbreviated or not, stay as they are."""
+    takes_value = False
+    for k, arg in enumerate(argv):
+        if arg == "--":
+            break
+        if takes_value:
+            takes_value = False
+        elif arg.startswith("--"):
+            takes_value = "=" not in arg and any(
+                o.startswith(arg) for o in _VALUE_OPTIONS
+            )
+        elif arg.startswith("-") and arg not in ("-", "-h"):
+            return argv[:k] + argv[k + 1:] + ["--", arg]
+    return argv
+
+
 def _parse_args(parser, argv):
     try:
         return parser.parse_args(argv), None
@@ -393,7 +419,7 @@ def main(argv=None):
             print("classify harness: error: count must be positive", file=sys.stderr)
             return 1
         return run_harness(ns)
-    ns, code = _parse_args(_classify_parser(), argv)
+    ns, code = _parse_args(_classify_parser(), _germ_behind_dashes(argv))
     if ns is None:
         return code
     if ns.digits < 1:

@@ -11,11 +11,18 @@ One engine does every reduction, on coefficient dicts that hold
 coprime integers for rational input and tower scalars otherwise; its
 steps cross multiply and never divide, since every caller only uses
 the ideal an element spans.  Milnor numbers come from completions
-modulo the monomials past a growing degree cap.  The first cap is
+modulo the monomials past a growing degree cap, certified by
+Nakayama's lemma: once every monomial of degree k leads an element of
+J + m^(k+1), m^k lies in the Jacobian ideal J.  So a completion whose
+leading exponents close a staircase of top t <= cap - 2 goes on at cap
+t + 1, as local standard basis engines stop at the highest corner
+(Greuel and Pfister, A Singular Introduction to Commutative Algebra),
+and a rung below the last cap certifies once its staircase top is at
+most cap - 1; the last cap keeps t <= cap - 2.  The first cap is
 2*ord - 2, the lowest at which a germ with a reduced tangent cone can
-certify.  The last cap needs no guess: an isolated germ of degree d
-has m^mu inside its Jacobian ideal and mu <= (d-1)^2 by Bezout, so a
-cap of (d-1)^2 + 2 decides it.
+certify by both rules.  The last cap needs no guess: an isolated germ
+of degree d has m^mu inside J and mu <= (d-1)^2 by Bezout, so a cap of
+(d-1)^2 + 2 decides it.
 """
 
 from __future__ import annotations
@@ -164,12 +171,27 @@ def _basis(gens, order, cap=None):
 
     With a cap, every tail past it is dropped: the result is a standard
     basis of the ideal enlarged by all monomials of degree above the cap.
+    Once the leading exponents found so far close a staircase whose top
+    t is at most cap - 2, the completion is cut at its highest corner
+    before its next reduction: every monomial of degree t + 1 leads an
+    element, so m^(t+1) lies in the ideal plus m^(cap+1), inside
+    m^(t+2), and by Nakayama in the ideal itself.  The enlargement past
+    t + 1 then adds nothing, so the elements found are cut there and the
+    rest runs at cap t + 1.  The cut is t + 1, not t, so that elements
+    led in degree t + 1 survive.
     """
     G = [_strip(d) for d in (_capped(d, cap) for d in gens) if d]
     pairs = deque((i, j) for i in range(len(G)) for j in range(i + 1, len(G)))
+    les = []  # leading exponents of G, brought up to date at each corner test
     while pairs:
         i, j = pairs.popleft()
         s = _capped(_s_poly(G[i], G[j], order), cap)
+        # test the corner before a reduction, if elements have arrived
+        # since the last test
+        if s and cap is not None and len(les) < len(G):
+            les += [order.leading(d)[0] for d in G[len(les):]]
+            G, pairs, les, cap = _cut_at_corner(G, pairs, les, cap)
+            s = _capped(s, cap)
         h = _mora(s, G, order, cap) if s else s
         if h:
             G.append(h)
@@ -177,14 +199,41 @@ def _basis(gens, order, cap=None):
     return G
 
 
+def _cut_at_corner(G, pairs, les, cap):
+    """(G, pairs, les, cap), cut at cap t + 1 when the leading exponents
+    close a staircase of top t <= cap - 2, as they were otherwise."""
+    # t is at least each axis power's degree less one: test the corner
+    # only once both axes carry a power of degree below the cap
+    if max(
+        min((a for a, b in les if not b), default=cap),
+        min((b for a, b in les if not a), default=cap),
+    ) >= cap:
+        return G, pairs, les, cap
+    top = _staircase(les, cap)[1]
+    if top > cap - 2:
+        return G, pairs, les, cap
+    cap = top + 1
+    # an element survives the cut exactly when its leading exponent,
+    # its lowest term, lies in degree cap or below
+    kept = [k for k, e in enumerate(les) if sum(e) <= cap]
+    index = {k: n for n, k in enumerate(kept)}
+    G = [_strip(_capped(G[k], cap)) for k in kept]
+    pairs = deque((index[i], index[j]) for i, j in pairs if i in index and j in index)
+    return G, pairs, [les[k] for k in kept], cap
+
+
 def _staircase(les, cap):
     """(count, top degree) of the monomials outside the staircase that
     the leading exponents span together with every monomial of degree
     above the cap."""
+    floors = {}
+    for a, j in les:
+        if j < floors.get(a, cap + 1):
+            floors[a] = j
     count = top = 0
     height = cap + 1
     for i in range(cap + 1):
-        height = min([height, cap + 1 - i] + [j for a, j in les if a == i])
+        height = min(height, cap + 1 - i, floors.get(i, height))
         if height == 0:
             break
         count += height
@@ -204,19 +253,27 @@ def milnor_number(f, last_cap=None, with_top=False):
 
     The Jacobian ideal J is completed modulo the monomials past a cap,
     on caps growing by half from 2*d - 2, d the order of f, up to
-    `last_cap`.  When the staircase closes at least two degrees below
-    the cap, m^(cap-1) lies in J by Nakayama, the enlargement was
-    invisible and the count is exact.
+    `last_cap`.  A rung is accepted by one of two rules, each a step of
+    Nakayama's lemma, after which the enlargement was invisible and the
+    count is exact:
 
-    No lower first cap certifies when the tangent cone is reduced.  J
-    lies in m^(d-1), and the lowest forms g1, g2 of the partials then
-    share no factor, so every syzygy of theirs has degree d - 1 or more.
-    Below degree 2d - 2 the leading forms of J are therefore those of
-    (g1, g2), which fill only 2d - 4 of the 2d - 3 monomials of degree
-    2d - 4: the staircase top t is at least 2d - 4, and a certificate
-    needs t <= cap - 2.  Degenerate tangent cones kept t >= 2d - 4 on
-    every germ tested.  Correctness never rests on this bound: a cap
-    that is too low only fails to certify, and the ladder climbs on.
+    - below `last_cap`, when the staircase top t is at most cap - 1:
+      every monomial of degree cap then leads an element, so m^cap lies
+      in J + m^(cap+1) and hence in J;
+    - at `last_cap`, only when t <= cap - 2: m^(t+1) lies in
+      J + m^(t+2) and hence in J, and the determinacy degree t + 2
+      read off below never passes `last_cap`.
+
+    The first cap 2d - 2 is the lowest at which both rules can certify
+    when the tangent cone is reduced.  J lies in m^(d-1), and the
+    lowest forms g1, g2 of the partials then share no factor, so every
+    syzygy of theirs has degree d - 1 or more.  Below degree 2d - 2 the
+    leading forms of J are therefore those of (g1, g2), which fill only
+    2d - 4 of the 2d - 3 monomials of degree 2d - 4: the staircase top
+    t is at least 2d - 4, and the last-cap rule needs t <= cap - 2.
+    Degenerate tangent cones kept t >= 2d - 4 on every germ tested.
+    Correctness never rests on this bound: a cap that is too low only
+    fails to certify, and the ladder climbs on.
     The default last cap (d-1)^2 + 2 for f of degree d decides every
     germ: an isolated one has m^mu inside J and mu <= (d-1)^2 by
     Bezout, so its staircase ends below degree (d-1)^2.  A caller that
@@ -242,7 +299,9 @@ def milnor_number(f, last_cap=None, with_top=False):
         cap = min(cap, last_cap)
         basis = _basis(gens, order, cap)
         count, top = _staircase([order.leading(d)[0] for d in basis], cap)
-        if top <= cap - 2:
+        # below the last cap t <= cap - 1 puts m^cap in J + m^(cap+1),
+        # hence in J; the last cap keeps t <= cap - 2 for split_germ
+        if top <= cap - (2 if cap == last_cap else 1):
             return (count, top) if with_top else count
         if cap == last_cap:
             return None

@@ -78,3 +78,55 @@ def brute_milnor(f, cap=44):
         previous = value
         n += 2
     return None
+
+
+def brute_milnor_top(f, cap=44):
+    """(mu, t) of a rational 2 variable germ, t the top degree of its
+    staircase, or None if m^n lies in no J + m^(n+1) with n < cap - 1
+    (treated as not isolated).
+
+    With d(n) = dim Q[x,y] / (J + m^n), J = (df/dx, df/dy), d(n) = d(n+1)
+    puts m^n in J + m^(n+1), hence in J by Nakayama, and d is constant
+    from there on, at mu; before that it strictly grows.  The least n
+    with d(n) = mu is the least n with m^n inside J, which is t + 1.
+
+    Every d(n) comes from one echelon form of the products u * g of a
+    monomial and a partial, cut below degree cap: each row's pivot is
+    its lowest degree term, so the rows pivoting below degree n span
+    the products cut below degree n, and d(n) counts the monomials of
+    degree below n that are no pivot.
+    """
+    terms = _poly_to_frac_terms(f)
+    gens = [g for g in (_partial(terms, 0), _partial(terms, 1)) if g]
+    monos = sorted(
+        ((i, j) for i in range(cap) for j in range(cap - i)),
+        key=lambda e: (sum(e), e),
+    )
+    pivots = {}
+    for u in monos:
+        for g in gens:
+            row = {}
+            for e, c in g.items():
+                prod = (e[0] + u[0], e[1] + u[1])
+                if sum(prod) < cap:
+                    row[prod] = c
+            while row:
+                low = min(row, key=lambda e: (sum(e), e))
+                pivot = pivots.get(low)
+                if pivot is None:
+                    pivots[low] = row
+                    break
+                scale = row[low] / pivot[low]
+                for e, c in pivot.items():
+                    v = row.get(e, 0) - scale * c
+                    if v:
+                        row[e] = v
+                    else:
+                        row.pop(e, None)
+    previous = None
+    for n in range(1, cap):
+        value = sum(1 for e in monos if sum(e) < n and e not in pivots)
+        if value == previous:
+            return value, n - 2
+        previous = value
+    return None

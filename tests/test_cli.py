@@ -140,6 +140,36 @@ def test_usage_error(capsys):
     assert code == 1
 
 
+def test_germ_with_leading_minus(capsys):
+    code, out, err = run(["-x^3+y^4"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "type: E_6"
+    code, out, err = run(["--json", "-3*x^3+y^4"], capsys)
+    assert code == 0
+    assert json.loads(out)["type"] == "E_6"
+    # options around the germ, and the "--" form, keep working
+    code, out, err = run(["-x^3+y^4", "--json", "--digits", "5"], capsys)
+    assert code == 0
+    assert json.loads(out)["type"] == "E_6"
+    code, out, err = run(["--json", "--", "-x^3+y^4"], capsys)
+    assert code == 0
+    assert json.loads(out)["type"] == "E_6"
+    # an option's value is no germ
+    code, out, err = run(["--digits", "-3", "x^3+y^4"], capsys)
+    assert code == 1
+    assert "digits must be positive" in err
+
+
+def test_unknown_option_is_usage_error(capsys):
+    code, out, err = run(["--flag", "x^3+y^4"], capsys)
+    assert code == 1
+    assert "usage: classify" in err
+    assert "unrecognized arguments: --flag" in err
+    code, out, err = run(["-h"], capsys)
+    assert code == 0
+    assert out.startswith("usage: classify")
+
+
 def test_smooth_germ_is_usage_error(capsys):
     code, out, err = run(["x+y^2"], capsys)
     assert code == 1

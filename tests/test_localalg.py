@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
+from arnoldnf import localalg
 from arnoldnf.localalg import (
     LocalOrder,
     _basis,
@@ -14,7 +17,7 @@ from arnoldnf.localalg import (
 from arnoldnf.poly import SparsePoly, parse_poly, poly_order, substitute
 from arnoldnf.scalars import QQ, adjoin_root, from_rational
 from harness_samples import harness_germs
-from milnor_oracle import brute_milnor
+from milnor_oracle import brute_milnor, brute_milnor_top
 
 
 def P(text):
@@ -84,6 +87,90 @@ def test_milnor_over_a_radical_tower():
         g = substitute(f, images)
         assert not all(c.is_rational() for c in g.terms.values()), text
         assert milnor_number(g) == milnor_number(f), text
+
+
+J32 = "x^3+x^2*y^3+3/2*y^11+1/2*y^12"
+J33 = "x^3+x^2*y^3-y^12+3/2*y^13"
+
+
+def test_milnor_and_top_match_the_oracle():
+    # which rung reads t depends on the acceptance rule, so t is checked
+    # against linear algebra that shares no code with the completion
+    for text in BRUTE_FORCE_CASES + [J32, J33]:
+        f = P(text)
+        assert milnor_number(f, with_top=True) == brute_milnor_top(f, cap=20), text
+    assert brute_milnor_top(P(J32), cap=20) == (18, 12)
+    assert brute_milnor_top(P(J33), cap=20) == (19, 13)
+
+
+_SQRT2_X = {
+    "x": SparsePoly.monomial(("x", "y"), (1, 0), adjoin_root(QQ, 2, 2)[1]),
+    "y": P("y"),
+}
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    st.dictionaries(
+        st.sampled_from([(a, k - a) for k in range(2, 6) for a in range(k + 1)]),
+        st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 2)]),
+        min_size=1,
+        max_size=4,
+    )
+)
+def test_milnor_and_top_of_random_germs(terms):
+    f = SparsePoly(("x", "y"), {e: from_rational(c) for e, c in terms.items()})
+    # a germ of degree 5 has mu <= 16 by Bezout, so t < 16 if isolated
+    expected = brute_milnor_top(f, cap=20)
+    assert milnor_number(f, with_top=True) == expected, f
+    if expected is not None:
+        assert milnor_number(substitute(f, _SQRT2_X), with_top=True) == expected, f
+
+
+def test_last_rung_below_the_last_cap_certifies_at_top_cap_minus_one(monkeypatch):
+    # J_3,2 has t = 12: the cap-13 rung holds m^13 in J + m^14, so the
+    # ladder stops there without a cap-19 completion
+    caps = []
+    basis = localalg._basis
+
+    def recording_basis(gens, order, cap=None):
+        caps.append(cap)
+        return basis(gens, order, cap)
+
+    monkeypatch.setattr(localalg, "_basis", recording_basis)
+    assert milnor_number(P(J32), with_top=True) == (18, 12)
+    assert caps == [4, 6, 9, 13]
+    # the last cap keeps t <= cap - 2, so that t + 2 stays within it
+    assert milnor_number(P(J32), 13, with_top=True) is None
+    assert milnor_number(P(J32), 14, with_top=True) == (18, 12)
+
+
+def test_completion_is_cut_at_its_highest_corner(monkeypatch):
+    # J_3,3 has t = 13, so its cap-19 completion goes on at cap 14 once
+    # the leading exponents close the staircase two degrees below 19
+    basis, mora = localalg._basis, localalg._mora
+    completion = []  # the cap of each completion
+    seen = []  # (staircase closed, cap) of each reduction at cap 19
+
+    def recording_basis(gens, order, cap=None):
+        completion.append(cap)
+        return basis(gens, order, cap)
+
+    def recording_mora(h, reducers, order, cap=None):
+        les = [order.leading(d)[0] for d in reducers]
+        # every monomial of degree 18 lies above a leading exponent
+        closed = all(any(a <= i and b <= 18 - i for a, b in les) for i in range(19))
+        if completion[-1] == 19:
+            seen.append((closed, cap))
+        return mora(h, reducers, order, cap)
+
+    monkeypatch.setattr(localalg, "_basis", recording_basis)
+    monkeypatch.setattr(localalg, "_mora", recording_mora)
+    assert milnor_number(P(J33), with_top=True) == (19, 13)
+    assert completion[-1] == 19
+    after = [cap for closed, cap in seen if closed]
+    assert after and max(after) <= 14
+    assert any(not closed and cap == 19 for closed, cap in seen)
 
 
 def _degenerate_cone_germs(seed, count):
