@@ -35,7 +35,7 @@ from .newton import (
     two_face_grading,
 )
 from .poly import SparsePoly, poly_order, weight_value, wlayer
-from .scalars import format_scalar
+from .scalars import format_scalar, monomial_text
 from .transform import (
     absorb_above,
     apply_linear,
@@ -161,28 +161,21 @@ def _corank_two(split, trace):
             di = min(e[0] for e in raw)
             dj = min(e[1] for e in raw)
             support = [(e[0] - di, e[1] - dj) for e in raw]
-            pure = (
-                len(support) == 2
-                and support[0][0] == 0
-                and support[1][1] == 0
-            )
-            if pure and support[1] == (1, 0):
-                s = support[0][1]
-                if s < 2:
+            pure = len(support) == 2 and support[0][0] == support[1][1] == 0
+            if pure and 1 in (support[0][1], support[1][0]):
+                # the factor is a multiple of x + c*y^s or of y + c*x^k:
+                # shear the variable v of the linear end by c times the
+                # power end
+                v = 0 if support[1] == (1, 0) else 1
+                power = support[v]
+                if sum(power) < 2:
                     raise PipelineError("repeated face factor inside the jet")
-                c = fac.coeff(raw[0]) / fac.coeff(raw[1])
-                v1 = SparsePoly.monomial(g.vars, (0, s), c)
-                g = shear(g, v1, SparsePoly.zero(g.vars), ((1, 1), bound))
-                trace.append(f"sheared x by -({format_scalar(c)})*y^{s}")
-                continue
-            if pure and support[0] == (0, 1):
-                k = support[1][0]
-                if k < 2:
-                    raise PipelineError("repeated face factor inside the jet")
-                c = fac.coeff(raw[1]) / fac.coeff(raw[0])
-                v2 = SparsePoly.monomial(g.vars, (k, 0), c)
-                g = shear(g, SparsePoly.zero(g.vars), v2, ((1, 1), bound))
-                trace.append(f"sheared y by -({format_scalar(c)})*x^{k}")
+                c = fac.coeff(raw[v]) / fac.coeff(raw[1 - v])
+                parts = [SparsePoly.zero(g.vars)] * 2
+                parts[v] = SparsePoly.monomial(g.vars, power, c)
+                g = shear(g, *parts, ((1, 1), bound))
+                mono = monomial_text(g.vars, power)
+                trace.append(f"sheared {g.vars[v]} by -({format_scalar(c)})*{mono}")
                 continue
             if support == [(0, 3), (2, 0)]:
                 return _double_core(g, split, trace)
@@ -265,17 +258,15 @@ def _working_face(pg, anchor):
 def _expose_axis_end(g, face, axis, bound, trace):
     """Shear along the working face until its lattice line reaches the
     pure power of `axis`; only the face jet contributes there."""
-    wx, wy = face.weight
-    if axis == "y":
-        if wy != 1 or wx < 2:
-            raise PipelineError("no lattice shift exposes the y end")
-        var_index, exps = 0, (0, wx)
-    else:
-        if wx != 1 or wy < 2:
-            raise PipelineError("no lattice shift exposes the x end")
-        var_index, exps = 1, (wy, 0)
-    g, lam = expose_end(g, face_jet(g, face), var_index, exps, bound)
-    trace.append(f"shifted {g.vars[var_index]} by {lam} along the face")
+    # the other variable v moves by a power of the axis variable, whose
+    # exponent is the weight of v
+    v = 1 - g.vars.index(axis)
+    step = face.weight[v]
+    if face.weight[1 - v] != 1 or step < 2:
+        raise PipelineError(f"no lattice shift exposes the {axis} end")
+    exps = (step, 0) if v else (0, step)
+    g, lam = expose_end(g, face_jet(g, face), v, exps, bound)
+    trace.append(f"shifted {g.vars[v]} by {lam} along the face")
     return g
 
 

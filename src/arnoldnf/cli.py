@@ -47,39 +47,33 @@ def _part_vars(parts):
     return ("x", "y")[:arity]
 
 
-def normal_form_string(parts):
-    """Normal form with parameter names left symbolic."""
+def _form_text(parts, coeff):
+    """The normal form's text, `coeff(label)` the coefficient of each
+    part; a part whose coefficient is 0 is left out."""
     vars = _part_vars(parts)
     chunks = []
     for label, exps in parts:
         if label == "core":
             chunks.append("(x^2+y^3)^2")
-        elif label == 1:
-            chunks.append(monomial_text(vars, exps))
-        else:
-            chunks.append(f"{label}*{monomial_text(vars, exps)}")
-    return "+".join(chunks)
+        elif (c := coeff(label)) != 0:
+            chunks.append(term_text(c, monomial_text(vars, exps)))
+    return signed_sum(chunks)
+
+
+def normal_form_string(parts):
+    """Normal form with parameter names left symbolic."""
+    return _form_text(parts, lambda label: label)
 
 
 def equation_string(result):
     """Normal form with the parameter values filled in, parseable by
     the input grammar; None when some value leaves the rationals."""
-    values = {}
+    values = {1: 1}
     for name, value in result.parameters:
         if not value.is_rational():
             return None
         values[name] = value.as_fraction()
-    vars = _part_vars(result.parts)
-    chunks = []
-    for label, exps in result.parts:
-        if label == "core":
-            chunks.append("(x^2+y^3)^2")
-            continue
-        c = Fraction(1) if label == 1 else values[label]
-        if c == 0:
-            continue
-        chunks.append(term_text(c, monomial_text(vars, exps)))
-    return signed_sum(chunks)
+    return _form_text(result.parts, values.__getitem__)
 
 
 def result_payload(result, digits, with_trace):

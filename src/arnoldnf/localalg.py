@@ -135,9 +135,9 @@ def _capped(d, cap):
 
 
 def _mora(h, basis, order, cap=None):
-    """Weak normal form of a coefficient dict; with a cap, terms of
-    total degree above it are dropped after every step."""
-    used = [_reducer(t, order) for t in basis]
+    """Weak normal form of a coefficient dict against basis records; with
+    a cap, terms of total degree above it are dropped after every step."""
+    used = list(basis)
     if h:
         h = _strip(h)
     while h:
@@ -155,9 +155,11 @@ def _mora(h, basis, order, cap=None):
     return h
 
 
-def _s_poly(f, g, order):
-    ef, cf = order.leading(f)
-    eg, cg = order.leading(g)
+def _s_poly(rf, rg):
+    """S-polynomial of two `_reducer` records."""
+    ef, _, f = rf
+    eg, _, g = rg
+    cf, cg = f[ef], g[eg]
     top = tuple(max(x, y) for x, y in zip(ef, eg))
     a, b = _multipliers(cf, cg)
     sf = tuple(t - x for t, x in zip(top, ef))
@@ -167,7 +169,7 @@ def _s_poly(f, g, order):
 
 
 def _basis(gens, order, cap=None):
-    """Standard basis of coefficient dicts, by pairs in arrival order.
+    """`_reducer` records of a standard basis, by pairs in arrival order.
 
     With a cap, every tail past it is dropped: the result is a standard
     basis of the ideal enlarged by all monomials of degree above the cap.
@@ -180,46 +182,48 @@ def _basis(gens, order, cap=None):
     rest runs at cap t + 1.  The cut is t + 1, not t, so that elements
     led in degree t + 1 survive.
     """
-    G = [_strip(d) for d in (_capped(d, cap) for d in gens) if d]
+    G = [_reducer(_strip(d), order) for d in (_capped(d, cap) for d in gens) if d]
     pairs = deque((i, j) for i in range(len(G)) for j in range(i + 1, len(G)))
-    les = []  # leading exponents of G, brought up to date at each corner test
+    tested = 0  # elements of G at the last corner test
     while pairs:
         i, j = pairs.popleft()
-        s = _capped(_s_poly(G[i], G[j], order), cap)
+        s = _capped(_s_poly(G[i], G[j]), cap)
         # test the corner before a reduction, if elements have arrived
         # since the last test
-        if s and cap is not None and len(les) < len(G):
-            les += [order.leading(d)[0] for d in G[len(les):]]
-            G, pairs, les, cap = _cut_at_corner(G, pairs, les, cap)
+        if s and cap is not None and tested < len(G):
+            G, pairs, cap = _cut_at_corner(G, pairs, cap, order)
+            tested = len(G)
             s = _capped(s, cap)
         h = _mora(s, G, order, cap) if s else s
         if h:
-            G.append(h)
+            G.append(_reducer(h, order))
             pairs.extend((k, len(G) - 1) for k in range(len(G) - 1))
     return G
 
 
-def _cut_at_corner(G, pairs, les, cap):
-    """(G, pairs, les, cap), cut at cap t + 1 when the leading exponents
+def _cut_at_corner(G, pairs, cap, order):
+    """(G, pairs, cap), cut at cap t + 1 when the leading exponents
     close a staircase of top t <= cap - 2, as they were otherwise."""
+    les = [r[0] for r in G]
     # t is at least each axis power's degree less one: test the corner
     # only once both axes carry a power of degree below the cap
     if max(
         min((a for a, b in les if not b), default=cap),
         min((b for a, b in les if not a), default=cap),
     ) >= cap:
-        return G, pairs, les, cap
+        return G, pairs, cap
     top = _staircase(les, cap)[1]
     if top > cap - 2:
-        return G, pairs, les, cap
+        return G, pairs, cap
     cap = top + 1
     # an element survives the cut exactly when its leading exponent,
-    # its lowest term, lies in degree cap or below
+    # its lowest term, lies in degree cap or below; the cut changes its
+    # ecart, so its record is made afresh
     kept = [k for k, e in enumerate(les) if sum(e) <= cap]
     index = {k: n for n, k in enumerate(kept)}
-    G = [_strip(_capped(G[k], cap)) for k in kept]
+    G = [_reducer(_strip(_capped(G[k][2], cap)), order) for k in kept]
     pairs = deque((index[i], index[j]) for i, j in pairs if i in index and j in index)
-    return G, pairs, [les[k] for k in kept], cap
+    return G, pairs, cap
 
 
 def _staircase(les, cap):
@@ -298,7 +302,7 @@ def milnor_number(f, last_cap=None, with_top=False):
     while True:
         cap = min(cap, last_cap)
         basis = _basis(gens, order, cap)
-        count, top = _staircase([order.leading(d)[0] for d in basis], cap)
+        count, top = _staircase([r[0] for r in basis], cap)
         # below the last cap t <= cap - 1 puts m^cap in J + m^(cap+1),
         # hence in J; the last cap keeps t <= cap - 2 for split_germ
         if top <= cap - (2 if cap == last_cap else 1):
@@ -311,7 +315,7 @@ def milnor_number(f, last_cap=None, with_top=False):
 def jacobian_leading_exponents(f, weight=(1, 1)):
     """Minimal leading exponents of the Jacobian ideal of a germ."""
     order = LocalOrder(weight)
-    les = {order.leading(d)[0] for d in _basis(_partials(f), order)}
+    les = {r[0] for r in _basis(_partials(f), order)}
     return sorted(e for e in les if not any(o != e and _divides(o, e) for o in les))
 
 

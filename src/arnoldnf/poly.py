@@ -8,7 +8,8 @@ a common tower; the scalar layer promotes on demand.
 Weight data is a tuple of weight vectors.  The weighted degree of a
 monomial is the minimum of its values under the vectors, so a single
 vector gives the usual weighted grading and several vectors give the
-piecewise grading used along a Newton polygon.
+piecewise grading used along a Newton polygon.  A truncation
+(`mul_trunc`, `substitute`) cuts by a single vector.
 """
 
 from __future__ import annotations
@@ -214,27 +215,22 @@ def wlayer(f, weights, d):
 
 
 def mul_trunc(a, b, weights, bound):
-    """Product with every term of weighted degree beyond `bound` dropped."""
-    weights = as_weights(weights)
+    """Product with every term of weighted degree beyond `bound` dropped,
+    under one weight vector."""
     if not a.terms or not b.terms:
         return SparsePoly.zero(a.vars)
-    bdots = []
-    for eb, cb in b.terms.items():
-        dots = tuple(sum(wi * ei for wi, ei in zip(w, eb)) for w in weights)
-        bdots.append((min(dots), dots, eb, cb))
-    bdots.sort(key=lambda item: item[0])
+    (w,) = as_weights(weights)
+    bw = sorted(
+        ((sum(wi * ei for wi, ei in zip(w, eb)), eb, cb) for eb, cb in b.terms.items()),
+        key=lambda item: item[0],
+    )
     terms = {}
     for ea, ca in a.terms.items():
-        adots = tuple(sum(wi * ei for wi, ei in zip(w, ea)) for w in weights)
-        amin = min(adots)
-        for bmin, dots, eb, cb in bdots:
-            # the per piece minima underestimate the weight of the
-            # product term, so once they clear the bound the rest of
-            # the sorted list does too
-            if amin + bmin > bound:
+        room = bound - sum(wi * ei for wi, ei in zip(w, ea))
+        for wb, eb, cb in bw:
+            # b's terms are sorted by weight, so the rest pass it too
+            if wb > room:
                 break
-            if min(x + y for x, y in zip(adots, dots)) > bound:
-                continue
             e = tuple(x + y for x, y in zip(ea, eb))
             acc = terms.get(e)
             terms[e] = ca * cb if acc is None else acc + ca * cb
@@ -248,8 +244,8 @@ def substitute(f, images, truncation=None):
     variable list); names left out are sent to the like-named variable of
     the target list.  Every image must vanish at the origin, so that
     substitution is well defined on power series and respects truncation.
-    With `truncation=(weights, bound)` all intermediate products drop
-    terms of weighted degree beyond the bound.
+    With `truncation=(weight, bound)` all intermediate products drop
+    terms of weighted degree beyond the bound (see `mul_trunc`).
     """
     images = dict(images)
     target_vars = None
@@ -273,17 +269,8 @@ def substitute(f, images, truncation=None):
             raise ValueError("substitution images must vanish at the origin")
         full.append(img)
 
-    if truncation is not None:
-        weights, bound = truncation
-        weights = as_weights(weights)
-
-        def mul(a, b):
-            return mul_trunc(a, b, weights, bound)
-
-    else:
-
-        def mul(a, b):
-            return a * b
+    def mul(a, b):
+        return a * b if truncation is None else mul_trunc(a, b, *truncation)
 
     power_cache = [[SparsePoly.constant(target_vars, 1)] for _ in full]
 
@@ -302,12 +289,10 @@ def substitute(f, images, truncation=None):
         for e, v in piece.terms.items():
             held = acc.get(e)
             acc[e] = v if held is None else held + v
-    result = SparsePoly(
+    # every product is cut already, and a constant piece has weight 0
+    return SparsePoly(
         target_vars, {e: c for e, c in acc.items() if not c.is_zero()}
     )
-    if truncation is not None:
-        result = wjet(result, weights, bound)
-    return result
 
 
 # -- canonical term order and printing -------------------------------

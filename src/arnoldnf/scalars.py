@@ -581,7 +581,8 @@ def monomial_text(names, exps):
 
 
 def term_text(c, mono):
-    """Text of c * mono for a rational c, the unit coefficient elided."""
+    """Text of c * mono for a rational c or a parameter name, the unit
+    coefficient elided."""
     if not mono:
         return str(c)
     if c == 1:

@@ -340,9 +340,10 @@ def straighten_jet(g, d, bound):
 
     Returns (g2, kind), kind naming the factor pattern of the jet.  Its
     `_JETS` row picks the factors that frame the axes, the middle shear
-    and the support.  A factor p*x + q*y framing one axis alone gets the
-    complement (0, 1/p), or when p = 0, (1, 0) beside x and (-1/q, 0)
-    beside y.  Four distinct roots leave the germ untouched.
+    and the support, and one linear change does all of it.  A factor
+    p*x + q*y framing one axis alone gets the complement (0, 1/p), or
+    when p = 0, (1, 0) beside x and (-1/q, 0) beside y.  Four distinct
+    roots leave the germ untouched.
     """
     jet = wlayer(g, (1, 1), d)
     linears, blocks = _binary_form_factors(jet, d)
@@ -362,31 +363,31 @@ def straighten_jet(g, d, bound):
         lx = (zero, 1 / p) if not p.is_zero() else (-1 / q, zero)
     if ly is None:
         ly = (zero, 1 / p) if not p.is_zero() else (one, zero)
-    g2 = apply_linear(g, _pair_to_axes(lx, ly), bound)
+    rows = _pair_to_axes(lx, ly)
     if middle is not None:
-        g2 = _kill_middle(g2, d, bound, middle)
+        # fold in the shear of the variable `middle` by c times the other
+        c = _middle_coefficient(apply_linear(jet, rows), d, middle)
+        for r in rows:
+            r[1 - middle] = r[1 - middle] - c * r[middle]
+    g2 = apply_linear(g, rows, bound)
     landed = set(wlayer(g2, (1, 1), d).terms)
     if landed != support:
         raise PipelineError(f"{kind} jet on {sorted(landed)}, not {sorted(support)}")
     return g2, kind
 
 
-def _kill_middle(g, d, bound, var_index):
-    """Shear of x (var_index 0) by y, or of y by x, removing the middle
-    term of the jet y^(d-2)*(a0*x^2 + a1*x*y + a2*y^2), a0 nonzero, or
-    of its mirror image: x -> x - a1/(2*a0)*y absorbs the cross term."""
+def _middle_coefficient(jet, d, var_index):
+    """The c of the shear x -> x - c*y (var_index 0), or y -> y - c*x,
+    removing the middle term of the jet y^(d-2)*(a0*x^2 + a1*x*y +
+    a2*y^2), a0 nonzero, or of its mirror image: c = a1/(2*a0)."""
 
     def at(e):
         return e if var_index == 0 else e[::-1]
 
-    jet = wlayer(g, (1, 1), d)
     a0 = jet.coeff(at((2, d - 2)))
     if a0.is_zero():
         raise PipelineError("expected a nonzero square coefficient")
-    v = [SparsePoly.zero(g.vars)] * 2
-    c = jet.coeff(at((1, d - 1))) / (2 * a0)
-    v[var_index] = SparsePoly.monomial(g.vars, at((0, 1)), c)
-    return shear(g, *v, ((1, 1), bound))
+    return jet.coeff(at((1, d - 1))) / (2 * a0)
 
 
 # -- emptying one graded level ---------------------------------------
@@ -520,7 +521,7 @@ def _column_floor(var_index, u, weights, level, allowed):
 
 def shear(f, v1, v2, truncation):
     """Evaluate f(x - v1, y - v2), dropping every term beyond
-    `truncation` = (weights, bound); f comes back unchanged when both
+    `truncation` = (weight, bound); f comes back unchanged when both
     parts are zero.
 
     Expands the shifted germ as a Taylor sum over scaled derivatives of
@@ -533,8 +534,6 @@ def shear(f, v1, v2, truncation):
     if v1.is_zero() and v2.is_zero():
         return f
     vars = f.vars
-    weights, bound = truncation
-    weights = as_weights(weights)
     out = SparsePoly.zero(vars)
     fa = f
     xpow = SparsePoly.constant(vars, 1)
@@ -544,17 +543,17 @@ def shear(f, v1, v2, truncation):
         ypow = xpow
         b = 0
         while not fab.is_zero() and not ypow.is_zero():
-            out = out + mul_trunc(fab, ypow, weights, bound)
+            out = out + mul_trunc(fab, ypow, *truncation)
             if v2.is_zero():
                 break
             b += 1
             fab = diff(fab, 1) * Fraction(1, b)
-            ypow = -mul_trunc(ypow, v2, weights, bound)
+            ypow = -mul_trunc(ypow, v2, *truncation)
         if v1.is_zero():
             break
         a += 1
         fa = diff(fa, 0) * Fraction(1, a)
-        xpow = -mul_trunc(xpow, v1, weights, bound)
+        xpow = -mul_trunc(xpow, v1, *truncation)
     return out
 
 
@@ -610,19 +609,17 @@ class _ColumnTable:
         return self.floors[key]
 
     def _rewind(self, j):
-        """Bring the table to layer weight j.  Safe columns only thin
-        out as j grows, so a column skipped before stays skipped; at a
-        lower j a skipped column may turn safe, and the table empties."""
-        if self.j is not None and j < self.j:
-            stale = 0
-            self.entered = 0
-        else:
-            stale = next(
-                (i for i, (_, floor, _) in enumerate(self.kept) if floor <= j),
-                len(self.kept),
-            )
-            if stale < len(self.kept):
-                self.entered = self.kept[stale][0]
+        """Bring the table to layer weight j, which only rises: the
+        shear on safe columns clearing the least stray weight j leaves
+        its higher order terms and walked kept terms above j (see
+        `_column_floor`), and moves every other term up.  Safe columns
+        only thin out as j grows, so a skipped column stays skipped."""
+        stale = next(
+            (i for i, (_, floor, _) in enumerate(self.kept) if floor <= j),
+            len(self.kept),
+        )
+        if stale < len(self.kept):
+            self.entered = self.kept[stale][0]
         for _, _, e in self.kept[stale:]:
             if e is not None:
                 del self.pivots[e]

@@ -157,7 +157,7 @@ def test_completion_is_cut_at_its_highest_corner(monkeypatch):
         return basis(gens, order, cap)
 
     def recording_mora(h, reducers, order, cap=None):
-        les = [order.leading(d)[0] for d in reducers]
+        les = [r[0] for r in reducers]
         # every monomial of degree 18 lies above a leading exponent
         closed = all(any(a <= i and b <= 18 - i for a, b in les) for i in range(19))
         if completion[-1] == 19:

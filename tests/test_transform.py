@@ -344,6 +344,25 @@ def test_straighten_four_distinct_untouched():
     assert (g2 - f).is_zero()
 
 
+@pytest.mark.parametrize(
+    "text, d, kind",
+    [
+        ("x^3+y^3+x^2*y^2", 3, "three-lines"),
+        ("x^3+3*x*y^2+y^3+y^4", 3, "three-lines"),
+        ("x^2*y+y^3+x^5", 3, "three-lines"),
+        ("x^4+x^3*y+x^2*y^2+y^5", 4, "double-plus-two"),
+    ],
+)
+def test_straighten_middle_shear_joins_the_linear_change(monkeypatch, text, d, kind):
+    # the shear removing the middle term is linear, so it is folded into
+    # the framing rows and no substitution of its own runs
+    def no_shear(*args):
+        raise AssertionError("straighten_jet ran a shear")
+
+    monkeypatch.setattr(transform_module, "shear", no_shear)
+    assert straighten_jet(P(text), d, 12)[1] == kind
+
+
 def test_apply_linear_swap():
     f = apply_linear(P("x^3+y^5"), [[0, 1], [1, 0]])
     assert f.terms == {(0, 3): 1, (5, 0): 1}
@@ -505,9 +524,6 @@ def _substituted(f, v1, v2, truncation):
          ((1, 1), 8)),
         # one weight, as graded_ladder cuts
         ("x^3+y^7+x*y^5+x^2*y^4", "2*y^3-x*y^2", "x*y+1/3*x^2", ((7, 3), 30)),
-        # two piece weight, as a corner grading
-        ("x^3+x^2*y^2+y^8+x*y^6", "y^4-x*y^2", "1/3*x^2+x*y^3",
-         (((9, 3), (8, 4)), 40)),
         # a linear part, like the 23/54*x of the second layer shear
         # absorb_above makes for x^3+x^2*y^3+y^10+x^3*y
         ("x^3+x^2*y^3+y^10+x^3*y", "x*y^2-2*y^4", "23/54*x+y^2",
@@ -742,6 +758,27 @@ def test_absorb_above_plans_nothing_without_stray_terms(monkeypatch):
     args, result, shears = calls[0]
     assert result == args[0] == g
     assert shears == []
+
+
+def test_layer_weights_of_a_column_table_rise(monkeypatch):
+    # a column table only ever moves to a higher layer weight, so it
+    # never has to bring back a column it skipped: over every harness
+    # germ, the j of each table's successive layer shears rises
+    layers = {}
+    layer_shear = transform_module._ColumnTable.layer_shear
+
+    def recording_layer_shear(table, layer, j):
+        layers.setdefault(table, []).append(j)
+        return layer_shear(table, layer, j)
+
+    monkeypatch.setattr(
+        transform_module._ColumnTable, "layer_shear", recording_layer_shear
+    )
+    for _, g in harness_germs():
+        classify(g)
+    assert sum(len(js) > 1 for js in layers.values()) >= 10
+    for js in layers.values():
+        assert all(a < b for a, b in zip(js, js[1:])), js
 
 
 def test_absorb_stops_short_of_second_order_feedback():
