@@ -4,9 +4,8 @@ Two modes: classify one germ given as a polynomial string, or run the
 round trip harness over the whole catalog.  Classification prints the
 family name, the normal form, the exact moduli with decimal
 approximations, and the Milnor number; with --json the same data goes
-out as one machine-readable line.  Exit status separates the three
-outcomes: 0 for a classified germ, 2 for a germ outside the covered
-range, 1 for unusable input.
+out as one machine-readable line.  The exit status tells the outcomes
+apart (see `main`).
 """
 
 import argparse
@@ -19,7 +18,7 @@ from fractions import Fraction
 
 from .catalog import FAMILIES, FAMILY, display_name, instantiate
 from .classify import classify
-from .errors import ParseError, Rejection
+from .errors import ParseError, PipelineError, Rejection
 from .poly import SparsePoly, parse_poly, substitute
 from .scalars import (
     approximate,
@@ -118,11 +117,16 @@ def _print_result(result, digits, with_trace):
 
 
 def run_classify(ns):
-    vars = tuple(v for v in ns.vars.split(",") if v) if ns.vars else None
+    vars = None
+    if ns.vars:
+        vars = tuple(v for v in map(str.strip, ns.vars.split(",")) if v)
     try:
         f = parse_poly(ns.poly, vars)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"classify: error: {exc}", file=sys.stderr)
         return 1
     try:
         result = classify(f)
@@ -140,6 +144,9 @@ def run_classify(ns):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except PipelineError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     if ns.json:
         print(json.dumps(result_payload(result, ns.digits, ns.steps), sort_keys=True))
     else:
@@ -404,6 +411,13 @@ def _parse_args(parser, argv):
 
 
 def main(argv=None):
+    """Run `classify` or `classify harness` on argv; return the exit status.
+
+    0: the germ is classified (or the harness ran); 1: unusable input,
+    a usage error or a parse error; 2: the germ lies outside the covered
+    range and is rejected; 3: an internal error, a step of the
+    classifier broke its own invariant.
+    """
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "harness":
         ns, code = _parse_args(_harness_parser(), argv[1:])

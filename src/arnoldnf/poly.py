@@ -10,6 +10,11 @@ monomial is the minimum of its values under the vectors, so a single
 vector gives the usual weighted grading and several vectors give the
 piecewise grading used along a Newton polygon.  A truncation
 (`mul_trunc`, `substitute`) cuts by a single vector.
+
+`parse_poly` reads a polynomial over Q from text.  Its parser evaluates
+on exact rational terms, dicts from exponent tuples to nonzero ints and
+Fractions kept in the order SparsePoly's own arithmetic would give, and
+builds one SparsePoly at the end.
 """
 
 from __future__ import annotations
@@ -328,23 +333,70 @@ def poly_str(f):
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>\w+)|(?P<op>\*\*|[-+*^()/])|\S")
 
 
+def _bad_name(value):
+    return not (value[0].isalpha() or value[0] == "_")
+
+
 def _tokenize(text):
     tokens = []
     for m in _TOKEN.finditer(text):
         kind, value = m.lastgroup, m.group()
-        bad_name = kind == "name" and not (value[0].isalpha() or value[0] == "_")
-        if kind is None or bad_name:
+        if kind is None or (kind == "name" and _bad_name(value)):
             raise ParseError(f"unexpected character {value[0]!r}", m.start())
         tokens.append((kind, "^" if value == "**" else value, m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
+def _variable_units(vars):
+    """Each variable's exponent tuple; a repeated name, or one that the
+    name token never reads, is a ValueError."""
+    units = {}
+    for i, v in enumerate(vars):
+        m = _TOKEN.match(v)
+        if v in units or not (m and m["name"] == v and not _bad_name(v)):
+            what = "is repeated" if v in units else "is not a name"
+            raise ValueError(f"variable {v!r} {what}")
+        units[v] = tuple(int(j == i) for j in range(len(vars)))
+    return units
+
+
+def _terms_add(a, b, sign):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _terms_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _terms_pow(a, k, one):
+    if len(a) == 1:  # (c*x^e)^k is c^k*x^(k*e), with no products
+        ((e, c),) = a.items()
+        return {tuple(k * x for x in e): c**k}
+    result = one
+    while k:
+        if k & 1:
+            result = _terms_mul(result, a)
+        k >>= 1
+        if k:
+            a = _terms_mul(a, a)
+    return result
+
+
 class _Parser:
     def __init__(self, tokens, vars):
         self.tokens = tokens
         self.pos = 0
-        self.vars = vars
+        self.units = _variable_units(vars)
+        self.origin = (0,) * len(vars)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -363,8 +415,8 @@ class _Parser:
             kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
-                term = self.parse_term()
-                result = result - term if value == "-" else result + term
+                sign = -1 if value == "-" else 1
+                result = _terms_add(result, self.parse_term(), sign)
             else:
                 return result
 
@@ -374,7 +426,7 @@ class _Parser:
             kind, value, pos = self.peek()
             if kind == "op" and value == "*":
                 self.take()
-                result = result * self.parse_factor()
+                result = _terms_mul(result, self.parse_factor())
             elif kind in ("int", "name") or (kind == "op" and value == "("):
                 raise ParseError(
                     "expected an operator; multiplication needs an explicit '*'",
@@ -393,7 +445,7 @@ class _Parser:
                 if kind != "int":
                     raise ParseError("expected a nonnegative integer exponent", pos)
                 self.take()
-                base = base ** int(value)
+                base = _terms_pow(base, int(value), {self.origin: 1})
             else:
                 return base
 
@@ -401,8 +453,7 @@ class _Parser:
         kind, value, pos = self.take()
         if kind == "int":
             num = int(value)
-            kind2, value2, _ = self.peek()
-            if kind2 == "op" and value2 == "/":
+            if self.peek()[:2] == ("op", "/"):
                 self.take()
                 kind3, value3, pos3 = self.peek()
                 if kind3 != "int":
@@ -411,12 +462,12 @@ class _Parser:
                 den = int(value3)
                 if den == 0:
                     raise ParseError("zero denominator", pos3)
-                return SparsePoly.constant(self.vars, Fraction(num, den))
-            return SparsePoly.constant(self.vars, num)
+                num = Fraction(num, den)
+            return {self.origin: num} if num else {}
         if kind == "name":
-            if value not in self.vars:
+            if value not in self.units:
                 raise ParseError(f"unknown variable {value!r}", pos)
-            return SparsePoly.variable(self.vars, value)
+            return {self.units[value]: 1}
         if kind == "op" and value == "(":
             inner = self.parse_expr()
             kind, value, pos = self.take()
@@ -424,15 +475,23 @@ class _Parser:
                 raise ParseError("expected ')'", pos)
             return inner
         if kind == "op" and value == "-":
-            return -self.parse_factor()
+            return {e: -c for e, c in self.parse_factor().items()}
         raise ParseError("expected a number, variable, or '('", pos)
 
 
 def parse_poly(text, vars=None):
     """Parse a polynomial with rational coefficients.
 
+    The grammar has sums and differences, products with an explicit
+    `*`, nonnegative integer powers (`^` or `**`), integers and `a/b`
+    rationals, variables, parentheses and unary minus.  Arithmetic runs
+    on exact rational terms, and each coefficient of the result becomes
+    a scalar once.
+
     Without an explicit variable list, identifiers found in the text
-    become the variables, ordered alphabetically.
+    become the variables, ordered alphabetically.  An explicit list must
+    hold distinct names, each one that the name token reads whole; any
+    other list is a ValueError.
     """
     tokens = _tokenize(text)
     if vars is None:
@@ -442,10 +501,10 @@ def parse_poly(text, vars=None):
         vars = tuple(vars)
     parser = _Parser(tokens, vars)
     try:
-        result = parser.parse_expr()
+        terms = parser.parse_expr()
     except RecursionError:
         raise ParseError("expression nests too deeply", parser.peek()[2]) from None
     kind, value, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected {value!r}", pos)
-    return result
+    return SparsePoly(vars, {e: from_rational(c) for e, c in terms.items()})

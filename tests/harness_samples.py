@@ -7,9 +7,12 @@ harness cuts them, at mu + 2.  The draws follow `cli.run_harness` with
 
 `harness_golden_lines` records what `classify harness` prints and what
 each of its classifications returns.  `tests/golden/harness_seed1.jsonl`
-holds them for seed 1, and a tooling test compares them byte for byte;
-rewrite it with `PYTHONPATH=src python tests/harness_samples.py` only
-together with a CHANGES.md line that explains the change.
+holds them for seed 1, and a tooling test compares them byte for byte.
+Those germs never pass through `parse_poly`; `strings_golden_lines`
+sends each one through the command line as its printed string, and
+`tests/golden/strings_seed1.jsonl` holds that output for seed 1.
+Rewrite both files with `PYTHONPATH=src python tests/harness_samples.py`
+only together with a CHANGES.md line that explains the change.
 """
 
 import contextlib
@@ -19,7 +22,7 @@ import random
 from pathlib import Path
 
 from arnoldnf import cli
-from arnoldnf.poly import substitute
+from arnoldnf.poly import poly_str, substitute
 from arnoldnf.transform import apply_linear, split_germ
 
 
@@ -41,6 +44,7 @@ def harness_germs(seed=1, keys=None):
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "harness_seed1.jsonl"
+STRINGS_GOLDEN = GOLDEN.with_name("strings_seed1.jsonl")
 
 
 def harness_golden_lines(seed=1, count=3):
@@ -71,6 +75,21 @@ def harness_golden_lines(seed=1, count=3):
     ]
 
 
+def strings_golden_lines(seed=1):
+    """`classify --json --steps --digits 30` stdout for the printed
+    string of each harness germ with rational coefficients."""
+    lines = []
+    for _, f in harness_germs(seed):
+        if not all(c.is_rational() for c in f.terms.values()):
+            continue
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            cli.main(["--json", "--steps", "--digits", "30", "--", poly_str(f)])
+        lines.append(out.getvalue())
+    return lines
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text("".join(harness_golden_lines()))
+    STRINGS_GOLDEN.write_text("".join(strings_golden_lines()))

@@ -7,6 +7,7 @@ import pytest
 from arnoldnf import cli
 from arnoldnf.cli import equation_string, main, normal_form_string
 from arnoldnf.classify import classify
+from arnoldnf.errors import PipelineError
 from arnoldnf.poly import parse_poly
 
 
@@ -133,6 +134,38 @@ def test_unknown_variable(capsys):
     code, out, err = run(["--vars", "x,y", "x^3+w^4"], capsys)
     assert code == 1
     assert "unknown variable" in err
+
+
+@pytest.mark.parametrize(
+    "vars, germ, message",
+    [
+        ("x,x", "x^2+x^3", "variable 'x' is repeated"),
+        ("x,y,x", "x^3+y^4", "variable 'x' is repeated"),
+        ("2x,y", "y^3", "variable '2x' is not a name"),
+    ],
+)
+def test_bad_variable_list_is_usage_error(vars, germ, message, capsys):
+    # a repeated or unreadable name used to reach the classifier and
+    # come back as a wrong rejection
+    code, out, err = run(["--json", "--vars", vars, "--", germ], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"classify: error: {message}\n"
+
+
+def test_spaces_around_variable_names(capsys):
+    code, out, err = run(["--json", "--vars", "x, y", "--", "x^3+y^4"], capsys)
+    assert code == 0
+    assert json.loads(out)["type"] == "E_6"
+
+
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def broken(f):
+        raise PipelineError("tail term (3, 1) is out of reach")
+
+    monkeypatch.setattr(cli, "classify", broken)
+    code, out, err = run(["x^3+y^4"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "internal error: tail term (3, 1) is out of reach\n"
 
 
 def test_usage_error(capsys):

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
+from arnoldnf import poly
 from arnoldnf.cli import main
 from arnoldnf.errors import ParseError
 from arnoldnf.poly import (
@@ -17,6 +19,7 @@ from arnoldnf.poly import (
     wlayer,
 )
 from arnoldnf.scalars import QQ, adjoin_root
+from harness_samples import harness_germs
 
 
 def P(text, vars=("x", "y")):
@@ -44,6 +47,9 @@ def test_parse_features():
     assert P("x^\u0663+\u0663*y") == P("x^3+3*y")
     g = parse_poly("z^2+w^3")
     assert g.vars == ("w", "z")
+    # any name the tokenizer reads whole may be a variable
+    h = parse_poly("_a^2+x1*b\u00b2", ("_a", "x1", "b\u00b2"))
+    assert h.terms == P("x^2+y*z", ("x", "y", "z")).terms
 
 
 def test_parse_errors_carry_position():
@@ -79,6 +85,109 @@ def test_any_token_string_parses_or_raises_parse_error(tokens):
             assert 0 <= exc.position <= len(text)
         else:
             assert isinstance(f, SparsePoly)
+
+
+@pytest.mark.parametrize(
+    "vars, message",
+    [
+        (("x", "x"), "variable 'x' is repeated"),
+        (("x", "y", "x"), "variable 'x' is repeated"),
+        (("2x", "y"), "variable '2x' is not a name"),
+        (("x", " y"), "variable ' y' is not a name"),
+        (("x", "y+z"), "variable 'y+z' is not a name"),
+        (("x", ""), "variable '' is not a name"),
+        (("\u00b2x", "y"), "variable '\u00b2x' is not a name"),
+    ],
+)
+def test_variable_list_holds_distinct_names(vars, message):
+    # a name the tokenizer never reads as one name could never be
+    # matched in the text, and a repeated name would give one variable
+    # two exponent positions
+    with pytest.raises(ValueError) as err:
+        parse_poly("y^3", vars)
+    assert not isinstance(err.value, ParseError)
+    assert str(err.value) == message
+
+
+_LEAF = st.one_of(
+    st.sampled_from([("x", 1), ("y", 1)]),
+    st.integers(0, 12).map(lambda n: (str(n), 0)),
+    st.tuples(st.integers(0, 12), st.integers(1, 12)).map(
+        lambda t: (f"{t[0]}/{t[1]}", 0)
+    ),
+)
+
+
+@st.composite
+def _expression(draw, depth=4):
+    """(text, degree bound) of an expression tree in x and y.  A power
+    raises a parenthesised sum to 0-6, and less where the degree would
+    pass 12, so that every expansion stays small."""
+    kind = draw(st.sampled_from(["leaf", "+", "-", "*", "*", "^", "^", "neg"]))
+    if depth == 0 or kind == "leaf":
+        return draw(_LEAF)
+    a, da = draw(_expression(depth - 1))
+    if kind == "neg":
+        return f"-{a}", da
+    b, db = draw(_expression(depth - 1))
+    if kind == "^":
+        d = max(da, db, 1)
+        k = draw(st.sampled_from(range(min(6, 12 // d) + 1)))
+        return f"({a}{draw(st.sampled_from('+-'))}{b})^{k}", d * k
+    return f"{a}{kind}{b}", da + db if kind == "*" else max(da, db)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_expression())
+def test_parse_arithmetic_matches_sympy_expand(expression):
+    text, _ = expression
+    got = {e: c.as_fraction() for e, c in P(text).terms.items()}
+    x, y = sympy.symbols("x y")
+    expanded = sympy.expand(sympy.sympify(text.replace("^", "**")))
+    want = {
+        e: Fraction(int(c.p), int(c.q))
+        for e, c in sympy.Poly(expanded, x, y).as_dict().items()
+    }
+    assert got == want, text
+
+
+def test_printed_harness_germs_parse_back():
+    count = 0
+    for key, f in harness_germs():
+        if all(c.is_rational() for c in f.terms.values()):
+            assert parse_poly(poly_str(f), f.vars) == f, key
+            count += 1
+    assert count == 162
+
+
+def test_parse_makes_one_scalar_per_term(monkeypatch):
+    # the 26-term Z_1,0 tangent image of the benchmark's seed-1 one-face
+    # corpus: the parser evaluates on rational terms, so it runs no
+    # polynomial arithmetic and wraps each coefficient once
+    text = (
+        "x^3*y+4*x^3*y^2-x^2*y^3+2*x^2*y^4-16*x^3*y^4+8*x^2*y^5+x*y^6+y^7"
+        "-16*x^3*y^5-16*x^2*y^6-10*x*y^7-14*y^8-16*x^2*y^7+36*x*y^8+84*y^9"
+        "+32*x^2*y^8-40*x*y^9-280*y^10-80*x*y^10+560*y^11+288*x*y^11"
+        "-672*y^12-320*x*y^12+448*y^13+128*x*y^13-128*y^14"
+    )
+    calls = []
+
+    def counting(name, inner):
+        def wrapper(*args):
+            calls.append(name)
+            return inner(*args)
+
+        return wrapper
+
+    for name in ("__mul__", "__pow__", "__add__"):
+        monkeypatch.setattr(
+            SparsePoly, name, counting(name, getattr(SparsePoly, name))
+        )
+    monkeypatch.setattr(poly, "from_rational", counting("from_rational", poly.from_rational))
+    f = parse_poly(text)
+    assert len(f.terms) == 26
+    assert calls.count("from_rational") <= 26
+    assert [c for c in calls if c != "from_rational"] == []
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,8 @@ when a traced run starts, so renaming or deleting one of them breaks
 loads the tracer by path and checks every name, then runs it once on a
 germ whose reduction works over a radical tower.  Later tests count
 the standard basis completions and substitutions behind the splitting
-of a germ, and the last holds the seed-1 harness to its golden file.
+of a germ, and the last two hold the seed-1 harness germs to their
+golden files, once as polynomials and once as printed strings.
 """
 
 import ast
@@ -24,7 +25,13 @@ from arnoldnf.classify import classify
 from arnoldnf.poly import parse_poly, poly_order, substitute
 from arnoldnf.scalars import from_rational
 from arnoldnf.transform import split_germ
-from harness_samples import GOLDEN, harness_germs, harness_golden_lines
+from harness_samples import (
+    GOLDEN,
+    STRINGS_GOLDEN,
+    harness_germs,
+    harness_golden_lines,
+    strings_golden_lines,
+)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "arnoldnf"
@@ -222,3 +229,13 @@ def test_harness_matches_golden_file():
     assert len(got) == len(want) == 217
     for i, (line, golden) in enumerate(zip(got, want)):
         assert line == golden, f"line {i + 1} of {GOLDEN.name}"
+
+
+def test_printed_harness_germs_match_golden_file():
+    # the harness germs again, each entered as its printed string, so
+    # that the parser sits in front of every classification
+    want = STRINGS_GOLDEN.read_text().splitlines(keepends=True)
+    got = strings_golden_lines()
+    assert len(got) == len(want) == 162
+    for i, (line, golden) in enumerate(zip(got, want)):
+        assert line == golden, f"line {i + 1} of {STRINGS_GOLDEN.name}"
