@@ -10,33 +10,44 @@ what makes the loop terminate for these orders.
 One engine does every reduction, on coefficient dicts that hold
 coprime integers for rational input and tower scalars otherwise; its
 steps cross multiply and never divide, since every caller only uses
-the ideal an element spans.  Milnor numbers come from completions
-modulo the monomials past a growing degree cap, certified by
-Nakayama's lemma: once every monomial of degree k leads an element of
-J + m^(k+1), m^k lies in the Jacobian ideal J.  So a completion whose
-leading exponents close a staircase of top t <= cap - 2 goes on at cap
-t + 1, as local standard basis engines stop at the highest corner
-(Greuel and Pfister, A Singular Introduction to Commutative Algebra),
-and a rung below the last cap certifies once its staircase top is at
-most cap - 1; the last cap keeps t <= cap - 2.  The first cap is
-2*ord - 2, the lowest at which a germ with a reduced tangent cone can
-certify by both rules.  The last cap needs no guess: an isolated germ
-of degree d has m^mu inside J and mu <= (d-1)^2 by Bezout, so a cap of
-(d-1)^2 + 2 decides it.
+the ideal an element spans.  Each dict is keyed by one integer per
+monomial (Bachmann and Schoenemann, ISSAC 1998): x^a y^b has the code
+(w . (a, b)) * B - a under weight w, B a base above every exponent.
+The codes of weighted degree W fill ((W-1)*B, W*B], a higher power of
+x taking a lower code, so integer order is the reverse of the local
+order: the leading term is min(d), a shift adds codes, and cap*B bounds
+the codes of weighted degree cap.  Milnor numbers come from completions
+modulo the monomials past a growing degree cap, certified by Nakayama's
+lemma: once every monomial of degree k leads an element of J + m^(k+1),
+m^k lies in the Jacobian ideal J.  So a completion whose leading
+exponents close a staircase of top t <= cap - 2 goes on at cap t + 1,
+as local standard basis engines stop at the highest corner (Greuel and
+Pfister, A Singular Introduction to Commutative Algebra), and a rung
+below the last cap certifies once its staircase top is at most cap - 1;
+the last cap keeps t <= cap - 2.  The first cap is 2*ord - 2, the
+lowest at which a germ with a reduced tangent cone can certify by both
+rules.  The last cap needs no guess: an isolated germ of degree d has
+m^mu inside J and mu <= (d-1)^2 by Bezout, so a cap of (d-1)^2 + 2
+decides it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import PipelineError
 from .poly import SparsePoly, as_weights, diff, poly_order, weight_value, wjet, wlayer
 from .scalars import from_rational
 
+# the code base B: dicts enter with exponents below it and records keep
+# weighted degrees below B/2, so no shift of a record reaches B
+_BASE = 1 << 20
+
 
 class LocalOrder:
-    """Weighted local order on two variable monomials.
+    """Weighted local order on two variable monomials, and its codes.
 
     Lower weighted degree means a larger monomial, so 1 beats every
     variable; ties prefer the higher power of the first variable.
@@ -47,17 +58,19 @@ class LocalOrder:
     def __init__(self, weight=(1, 1)):
         self.weight = tuple(weight)
 
-    def key(self, exps):
-        wx, wy = self.weight
-        return (-(wx * exps[0] + wy * exps[1]), exps[0])
-
-    def wdeg(self, exps):
-        return self.weight[0] * exps[0] + self.weight[1] * exps[1]
-
     def leading(self, d):
-        """Leading (exponent, coefficient) of a coefficient dict."""
-        e = max(d, key=self.key)
+        """Leading (exponent, coefficient) of a dict keyed by exponents."""
+        wx, wy = self.weight
+        e = max(d, key=lambda e: (-(wx * e[0] + wy * e[1]), e[0]))
         return e, d[e]
+
+    def code(self, exps):
+        return (self.weight[0] * exps[0] + self.weight[1] * exps[1]) * _BASE - exps[0]
+
+    def exps(self, code):
+        w = -(-code // _BASE)
+        a = w * _BASE - code
+        return a, (w - self.weight[0] * a) // self.weight[1]
 
 
 def mono_mul(f, exps, coeff):
@@ -70,24 +83,27 @@ def mono_mul(f, exps, coeff):
     )
 
 
-def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
 # -- the engine ------------------------------------------------------
 
 
-def _coeff_dicts(polys):
-    """Engine input for nonzero polynomials: coprime integer dicts when
-    every coefficient is rational, tower scalar dicts otherwise."""
-    if not all(c.is_rational() for f in polys for c in f.terms.values()):
-        return [dict(f.terms) for f in polys]
-    out = []
-    for f in polys:
-        qs = {e: c.as_fraction() for e, c in f.terms.items()}
-        scale = lcm(*(q.denominator for q in qs.values()))
-        out.append(_strip({e: int(q * scale) for e, q in qs.items()}))
-    return out
+def _coeff_dicts(polys, order):
+    """Code-keyed engine input for nonzero polynomials: coprime integers
+    when every coefficient is rational, tower scalars otherwise."""
+    rational = all(c.is_rational() for f in polys for c in f.terms.values())
+    return [_encoded(_integers(f.terms) if rational else f.terms, order) for f in polys]
+
+
+def _integers(terms):
+    """Rational coefficients times their common denominator."""
+    qs = {e: c.as_fraction() for e, c in terms.items()}
+    scale = lcm(*(q.denominator for q in qs.values()))
+    return {e: q.numerator * (scale // q.denominator) for e, q in qs.items()}
+
+
+def _encoded(terms, order):
+    if max(map(max, terms)) >= _BASE:
+        raise PipelineError("an exponent reaches the monomial code base")
+    return _strip({order.code(e): c for e, c in terms.items()})
 
 
 def _strip(d):
@@ -109,91 +125,93 @@ def _multipliers(lc, rc):
 
 
 def _reducer(d, order):
-    """(leading exponent, ecart, d); the ecart is how far the lowest
-    term lies past the leading one in weighted degree."""
-    le = max(d, key=order.key)
-    return le, max(map(order.wdeg, d)) - order.wdeg(le), d
+    """(leading exponent, ecart, d, leading code min(d)); a code k has
+    weighted degree ceil(k / B), so the ecart reads off min(d) and max(d)."""
+    first, low = min(d), -(-max(d) // _BASE)
+    if low >= _BASE // 2:
+        raise PipelineError(f"weighted degree {low} reaches half the monomial code base")
+    return order.exps(first), low - -(-first // _BASE), d, first
 
 
-def _combine(h, a, g, shift, b):
-    """a * h - b * x^shift * g, without zero coefficients."""
-    new = {e: a * c for e, c in h.items()}
-    for e, c in g.items():
-        k = tuple(x + y for x, y in zip(e, shift))
-        v = new.get(k, 0) - b * c
-        if v:
-            new[k] = v
-        else:
-            new.pop(k, None)
+def _combine(f, a, sf, g, b, sg, limit):
+    """a * x^sf * f - b * x^sg * g for code shifts sf and sg, without
+    codes past the limit or zero coefficients."""
+    room = limit - sf
+    new = {k + sf: a * c for k, c in f.items() if k <= room}
+    room = limit - sg
+    for k, c in g.items():
+        if k <= room:
+            k += sg
+            v = new[k] = new.get(k, 0) - b * c
+            if not v:
+                del new[k]
     return new
 
 
-def _capped(d, cap):
-    if cap is None:
-        return d
-    return {e: c for e, c in d.items() if sum(e) <= cap}
+def _capped(d, limit):
+    return {k: c for k, c in d.items() if k <= limit}
 
 
 def _mora(h, basis, order, cap=None):
     """Weak normal form of a coefficient dict against basis records; with
-    a cap, terms of total degree above it are dropped after every step."""
+    a cap, terms of weighted degree above it are dropped after every step."""
+    limit = _BASE * _BASE if cap is None else cap * _BASE
     used = list(basis)
-    if h:
-        h = _strip(h)
     while h:
-        current = le, ecart, _ = _reducer(h, order)
-        divs = [r for r in used if _divides(r[0], le)]
+        h = _strip(h)
+        current = (a, b), ecart, _, lead = _reducer(h, order)
+        divs = [r for r in used if r[0][0] <= a and r[0][1] <= b]
         if not divs:
             return h
-        re, reducer_ecart, reducer = min(divs, key=lambda r: r[1])
+        _, reducer_ecart, reducer, rlead = min(divs, key=itemgetter(1))
         if reducer_ecart > ecart:
             used.append(current)
-        a, b = _multipliers(h[le], reducer[re])
-        shift = tuple(x - y for x, y in zip(le, re))
-        new = _capped(_combine(h, a, reducer, shift, b), cap)
-        h = _strip(new) if new else new
+        x, y = _multipliers(h[lead], reducer[rlead])
+        h = _combine(h, x, 0, reducer, y, lead - rlead, limit)
     return h
 
 
-def _s_poly(rf, rg):
-    """S-polynomial of two `_reducer` records."""
-    ef, _, f = rf
-    eg, _, g = rg
-    cf, cg = f[ef], g[eg]
-    top = tuple(max(x, y) for x, y in zip(ef, eg))
-    a, b = _multipliers(cf, cg)
-    sf = tuple(t - x for t, x in zip(top, ef))
-    sg = tuple(t - x for t, x in zip(top, eg))
-    lifted = {tuple(x + s for x, s in zip(e, sf)): c for e, c in f.items()}
-    return _combine(lifted, a, g, sg, b)
+def _s_poly(rf, rg, top, limit):
+    """S-polynomial of two records whose leads have lcm code `top`, cut."""
+    (_, _, f, kf), (_, _, g, kg) = rf, rg
+    a, b = _multipliers(f[kf], g[kg])
+    return _combine(f, a, top - kf, g, b, top - kg, limit)
 
 
 def _basis(gens, order, cap=None):
     """`_reducer` records of a standard basis, by pairs in arrival order.
 
     With a cap, every tail past it is dropped: the result is a standard
-    basis of the ideal enlarged by all monomials of degree above the cap.
-    Once the leading exponents found so far close a staircase whose top
-    t is at most cap - 2, the completion is cut at its highest corner
-    before its next reduction: every monomial of degree t + 1 leads an
-    element, so m^(t+1) lies in the ideal plus m^(cap+1), inside
-    m^(t+2), and by Nakayama in the ideal itself.  The enlargement past
-    t + 1 then adds nothing, so the elements found are cut there and the
-    rest runs at cap t + 1.  The cut is t + 1, not t, so that elements
-    led in degree t + 1 survive.
+    basis of the ideal enlarged by all monomials of weighted degree above
+    the cap.  A pair whose leading monomials have their lcm past the cap
+    forms no S-polynomial: every term of x^s * f has weighted degree at
+    least that of x^s times the lead of f, the lcm, so the capped
+    S-polynomial is empty.  Once the leading exponents found so far
+    close a staircase whose top t is at most cap - 2, the completion is
+    cut at its highest corner before its next reduction: every monomial
+    of degree t + 1 leads an element, so m^(t+1) lies in the ideal plus
+    m^(cap+1), inside m^(t+2), and by Nakayama in the ideal itself.  The
+    enlargement past t + 1 then adds nothing, so the elements found are
+    cut there and the rest runs at cap t + 1.  The cut is t + 1, not t,
+    so that elements led in degree t + 1 survive.
     """
-    G = [_reducer(_strip(d), order) for d in (_capped(d, cap) for d in gens) if d]
+    limit = _BASE * _BASE if cap is None else cap * _BASE
+    G = [_reducer(_strip(d), order) for d in (_capped(d, limit) for d in gens) if d]
     pairs = deque((i, j) for i in range(len(G)) for j in range(i + 1, len(G)))
     tested = 0  # elements of G at the last corner test
     while pairs:
         i, j = pairs.popleft()
-        s = _capped(_s_poly(G[i], G[j]), cap)
+        top = order.code(tuple(map(max, G[i][0], G[j][0])))
+        if top > limit:
+            continue
+        s = _s_poly(G[i], G[j], top, limit)
         # test the corner before a reduction, if elements have arrived
         # since the last test
         if s and cap is not None and tested < len(G):
             G, pairs, cap = _cut_at_corner(G, pairs, cap, order)
+            limit = cap * _BASE
             tested = len(G)
-            s = _capped(s, cap)
+            s = _capped(s, limit)
         h = _mora(s, G, order, cap) if s else s
         if h:
             G.append(_reducer(h, order))
@@ -219,9 +237,9 @@ def _cut_at_corner(G, pairs, cap, order):
     # an element survives the cut exactly when its leading exponent,
     # its lowest term, lies in degree cap or below; the cut changes its
     # ecart, so its record is made afresh
-    kept = [k for k, e in enumerate(les) if sum(e) <= cap]
+    kept = [k for k, r in enumerate(G) if r[3] <= cap * _BASE]
     index = {k: n for n, k in enumerate(kept)}
-    G = [_reducer(_strip(_capped(G[k][2], cap)), order) for k in kept]
+    G = [_reducer(_strip(_capped(G[k][2], cap * _BASE)), order) for k in kept]
     pairs = deque((index[i], index[j]) for i, j in pairs if i in index and j in index)
     return G, pairs, cap
 
@@ -248,8 +266,14 @@ def _staircase(les, cap):
 # -- public entry points ---------------------------------------------
 
 
-def _partials(f):
-    return _coeff_dicts([g for g in (diff(f, 0), diff(f, 1)) if not g.is_zero()])
+def _partials(f, order):
+    """Engine dicts of the nonzero partials, read off the terms of f."""
+    t = f.terms
+    if all(c.is_rational() for c in t.values()):
+        t = _integers(t)
+    dx = {(a - 1, b): a * c for (a, b), c in t.items() if a}
+    dy = {(a, b - 1): b * c for (a, b), c in t.items() if b}
+    return [_encoded(d, order) for d in (dx, dy) if d]
 
 
 def milnor_number(f, last_cap=None, with_top=False):
@@ -291,12 +315,12 @@ def milnor_number(f, last_cap=None, with_top=False):
     (t+2)-determined by Mather's test (Greuel, Lossen and Shustin,
     Thm I.2.23).  Since t <= mu - 1 this degree never passes mu + 1.
     """
-    gens = _partials(f)
+    order = LocalOrder((1, 1))
+    gens = _partials(f, order)
     if not gens:
         return None
     if last_cap is None:
         last_cap = (f.total_degree() - 1) ** 2 + 2
-    order = LocalOrder((1, 1))
     # at least 2, so that the cap grows by cap // 2
     cap = max(2 * poly_order(f, (1, 1)) - 2, 2)
     while True:
@@ -315,8 +339,9 @@ def milnor_number(f, last_cap=None, with_top=False):
 def jacobian_leading_exponents(f, weight=(1, 1)):
     """Minimal leading exponents of the Jacobian ideal of a germ."""
     order = LocalOrder(weight)
-    les = {r[0] for r in _basis(_partials(f), order)}
-    return sorted(e for e in les if not any(o != e and _divides(o, e) for o in les))
+    les = {r[0] for r in _basis(_partials(f, order), order)}
+    under = {e: [o for o in les if o[0] <= e[0] and o[1] <= e[1]] for e in les}
+    return sorted(e for e in les if under[e] == [e])
 
 
 # -- exact linear algebra --------------------------------------------

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from arnoldnf import localalg
+from arnoldnf import localalg, poly
+from arnoldnf.errors import PipelineError
 from arnoldnf.localalg import (
     LocalOrder,
     _basis,
@@ -14,7 +17,7 @@ from arnoldnf.localalg import (
     linear_solve,
     milnor_number,
 )
-from arnoldnf.poly import SparsePoly, parse_poly, poly_order, substitute
+from arnoldnf.poly import SparsePoly, diff, parse_poly, poly_order, substitute
 from arnoldnf.scalars import QQ, adjoin_root, from_rational
 from harness_samples import harness_germs
 from milnor_oracle import brute_milnor, brute_milnor_top
@@ -31,6 +34,125 @@ def test_local_order_leading():
     g = P("6*x^2*y^2+6*y^5+5*x*y^4")
     assert order.leading(g.terms)[0] == (2, 2)
     assert LocalOrder((1, 1)).leading(P("1+x+y").terms)[0] == (0, 0)
+
+
+_EXPONENT = st.one_of(st.integers(0, 12), st.integers(0, localalg._BASE // 4))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    st.sampled_from([(1, 1), (3, 2)]),
+    st.lists(st.tuples(_EXPONENT, _EXPONENT), min_size=1, max_size=8, unique=True),
+    st.integers(0, 60),
+)
+def test_monomial_codes(weight, exps, cap):
+    order = LocalOrder(weight)
+    codes = [order.code(e) for e in exps]
+    # decoding gives the exponents back
+    assert [order.exps(k) for k in codes] == exps
+    # the least code leads, ties going to the higher power of x
+    assert order.exps(min(codes)) == order.leading(dict.fromkeys(exps, 1))[0]
+    # adding codes multiplies monomials
+    (a, b), (c, d) = exps[0], exps[-1]
+    assert codes[0] + codes[-1] == order.code((a + c, b + d))
+    # a code is at most cap * B exactly when its weighted degree is at
+    # most the cap: the total degree under weight (1, 1)
+    cut = [k <= cap * localalg._BASE for k in codes]
+    assert cut == [weight[0] * a + weight[1] * b <= cap for a, b in exps]
+    if weight == (1, 1):
+        assert cut == [a + b <= cap for a, b in exps]
+
+
+def test_monomial_codes_break_ties_toward_x():
+    order = LocalOrder((3, 2))
+    # x^2 and y^3 share weighted degree 6; x^2 leads
+    assert order.exps(min(order.code((0, 3)), order.code((2, 0)))) == (2, 0)
+    order = LocalOrder((1, 1))
+    assert order.exps(min(map(order.code, [(0, 4), (1, 3), (3, 1), (2, 2)]))) == (3, 1)
+
+
+def test_exponents_past_the_code_base_raise():
+    order = LocalOrder((1, 1))
+    base = localalg._BASE
+    with pytest.raises(PipelineError):
+        _coeff_dicts([P(f"x^{base}+y")], order)
+    with pytest.raises(PipelineError):
+        milnor_number(P(f"x^3+x*y^{base + 1}"))
+    # below B on entry, but a record keeps weighted degrees below B/2, so
+    # that shifting it by another record's leading monomial cannot alias
+    gens = _coeff_dicts([P(f"x*y+x^{base // 2}"), P("y")], order)
+    with pytest.raises(PipelineError):
+        _basis(gens, order)
+    # far enough below B/2, large exponents complete as usual
+    gens = _coeff_dicts([P(f"x+y^{base // 4}"), P("y^2")], order)
+    assert sorted(r[0] for r in _basis(gens, order)) == [(0, 2), (1, 0)]
+
+
+def test_rational_partials_are_coprime_integers_without_diff(monkeypatch):
+    f = P("1/2*x^3+x^2*y^3-2/3*y^11+3/5*y^12")
+    order = LocalOrder((1, 1))
+    expected = []
+    for var in (0, 1):
+        qs = {e: c.as_fraction() for e, c in diff(f, var).terms.items()}
+        scale = 1
+        for q in qs.values():
+            scale = scale * q.denominator // gcd(scale, q.denominator)
+        ints = {e: int(q * scale) for e, q in qs.items()}
+        g = gcd(*ints.values())
+        expected.append({e: c // g for e, c in ints.items()})
+
+    def no_diff(*args, **kwargs):
+        raise AssertionError("poly.diff called")
+
+    monkeypatch.setattr(poly, "diff", no_diff)
+    monkeypatch.setattr(localalg, "diff", no_diff)
+    parts = localalg._partials(f, order)
+    assert [{order.exps(k): c for k, c in d.items()} for d in parts] == expected
+    for d in parts:
+        assert all(type(c) is int for c in d.values())
+        assert gcd(*d.values()) == 1
+    records = _basis(parts, order, 19)
+    assert records and all(type(c) is int for r in records for c in r[2].values())
+    assert milnor_number(f) == brute_milnor(f)
+
+
+def test_tower_partials_stay_tower_scalars():
+    f = P(J33)
+    g = substitute(f, _SQRT2_X)
+    order = LocalOrder((1, 1))
+    records = _basis(localalg._partials(g, order), order, 19)
+    coefficients = [c for r in records for c in r[2].values()]
+    assert coefficients and all(type(c) is not int for c in coefficients)
+    assert any(not c.is_rational() for c in coefficients)
+    assert milnor_number(g, with_top=True) == brute_milnor_top(f, cap=20) == (19, 13)
+
+
+def test_no_s_polynomial_past_the_cap(monkeypatch):
+    # every term of x^s * f lies past the lcm of the leading monomials,
+    # so a pair whose lcm passes the cap in force forms no S-polynomial
+    caps = []  # the cap in force, as it enters _basis or leaves a cut
+    formed = []  # (lcm total degree, cap in force) per S-polynomial
+    basis, cut, s_poly = localalg._basis, localalg._cut_at_corner, localalg._s_poly
+
+    def recording_basis(gens, order, cap=None):
+        caps.append(cap)
+        return basis(gens, order, cap)
+
+    def recording_cut(G, pairs, cap, order):
+        out = cut(G, pairs, cap, order)
+        caps.append(out[2])
+        return out
+
+    def recording_s_poly(rf, rg, *args):
+        (a, b), (c, d) = rf[0], rg[0]
+        formed.append((max(a, c) + max(b, d), caps[-1]))
+        return s_poly(rf, rg, *args)
+
+    monkeypatch.setattr(localalg, "_basis", recording_basis)
+    monkeypatch.setattr(localalg, "_cut_at_corner", recording_cut)
+    monkeypatch.setattr(localalg, "_s_poly", recording_s_poly)
+    assert milnor_number(P(J33), with_top=True) == (19, 13)
+    assert formed and all(degree <= cap for degree, cap in formed)
 
 
 def test_milnor_basics():
@@ -220,7 +342,7 @@ def test_leading_exponents():
 
 def test_mora_nf_unit_case():
     order = LocalOrder((1, 1))
-    x, *gens = _coeff_dicts([P("x"), P("x+x^2"), P("y")])
+    x, *gens = _coeff_dicts([P("x"), P("x+x^2"), P("y")], order)
     basis = _basis(gens, order)
     # x + x^2 is a unit times x, so x itself must reduce to zero
     assert not _mora(x, basis, order)
@@ -230,7 +352,7 @@ def test_mora_nf_unit_case_over_a_tower():
     order = LocalOrder((1, 1))
     _, r2 = adjoin_root(QQ, 2, 2)
     unit_x = P("x") + SparsePoly.monomial(("x", "y"), (2, 0), r2)
-    x, one_plus_x, *gens = _coeff_dicts([P("x"), P("1+x"), unit_x, P("y")])
+    x, one_plus_x, *gens = _coeff_dicts([P("x"), P("1+x"), unit_x, P("y")], order)
     basis = _basis(gens, order)
     # x + sqrt(2)*x^2 is a unit times x, so x itself must reduce to zero
     assert not _mora(x, basis, order)
