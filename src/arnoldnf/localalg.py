@@ -34,6 +34,7 @@ decides it.
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -90,14 +91,20 @@ def _coeff_dicts(polys, order):
     """Code-keyed engine input for nonzero polynomials: coprime integers
     when every coefficient is rational, tower scalars otherwise."""
     rational = all(c.is_rational() for f in polys for c in f.terms.values())
-    return [_encoded(_integers(f.terms) if rational else f.terms, order) for f in polys]
+    return [
+        _encoded(_integers(f.terms)[0] if rational else f.terms, order)
+        for f in polys
+    ]
 
 
 def _integers(terms):
-    """Rational coefficients times their common denominator."""
+    """(coprime integers, q) for nonzero rational coefficients: each
+    coefficient is q times its integer."""
     qs = {e: c.as_fraction() for e, c in terms.items()}
     scale = lcm(*(q.denominator for q in qs.values()))
-    return {e: q.numerator * (scale // q.denominator) for e, q in qs.items()}
+    ints = {e: q.numerator * (scale // q.denominator) for e, q in qs.items()}
+    g = gcd(*ints.values())
+    return {e: c // g for e, c in ints.items()}, Fraction(g, scale)
 
 
 def _encoded(terms, order):
@@ -118,7 +125,7 @@ def _strip(d):
 
 def _multipliers(lc, rc):
     """(a, b) with a * lc == b * rc, coprime for integers."""
-    if type(lc) is int:
+    if type(lc) is int and type(rc) is int:
         g = gcd(lc, rc)
         return rc // g, lc // g
     return rc, lc
@@ -270,7 +277,7 @@ def _partials(f, order):
     """Engine dicts of the nonzero partials, read off the terms of f."""
     t = f.terms
     if all(c.is_rational() for c in t.values()):
-        t = _integers(t)
+        t = _integers(t)[0]
     dx = {(a - 1, b): a * c for (a, b), c in t.items() if a}
     dy = {(a, b - 1): b * c for (a, b), c in t.items() if b}
     return [_encoded(d, order) for d in (dx, dy) if d]

@@ -12,21 +12,27 @@ germ is right equivalent.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
+from math import comb, gcd
+from operator import itemgetter
 
 from .errors import PipelineError
 from .localalg import (
+    _BASE,
+    LocalOrder,
+    _combine,
+    _integers,
+    _multipliers,
     layer_decompose,
     milnor_number,
-    mono_mul,
 )
 from .poly import (
     SparsePoly,
     as_weights,
     diff,
-    mul_trunc,
     substitute,
-    term_sort_key,
     weight_value,
     wjet,
     wlayer,
@@ -465,29 +471,34 @@ def _absorb(f, weights, level, allowed, truncation):
     allowed = {tuple(e) for e in allowed}
     base = wjet(f, weights, level)
     table = None
+    weight = {}  # exponent -> its weight, filled as exponents turn up
     for _ in range(300):
-        stray = {
-            e: c
-            for e, c in f.terms.items()
-            if weight_value(weights, e) > level and e not in allowed
-        }
+        low, stray = {}, {}
+        for e, c in f.terms.items():
+            w = weight.get(e)
+            if w is None:
+                w = weight[e] = weight_value(weights, e)
+            if w <= level:
+                low[e] = c
+            elif e not in allowed:
+                stray[e] = c
+        # the shear of the round before must keep the principal part
+        if table is not None and not (SparsePoly(f.vars, low) - base).is_zero():
+            raise PipelineError("tail absorption disturbed the principal part")
         if not stray:
             return f
         if table is None:
             table = _ColumnTable(
                 wlayer(f, weights, level), weights, level, allowed, truncation
             )
-        j = min(weight_value(weights, e) for e in stray)
-        layer = SparsePoly.build(
-            f.vars,
-            {e: c for e, c in stray.items() if weight_value(weights, e) == j},
+        j = min(weight[e] for e in stray)
+        layer = SparsePoly(
+            f.vars, {e: c for e, c in stray.items() if weight[e] == j}
         )
         v1, v2 = table.layer_shear(layer, j)
         if v1.is_zero() and v2.is_zero():
             raise PipelineError("tail absorption made no progress")
         f = shear(f, v1, v2, truncation)
-        if not (wjet(f, weights, level) - base).is_zero():
-            raise PipelineError("tail absorption disturbed the principal part")
     raise PipelineError("tail absorption did not settle")
 
 
@@ -500,23 +511,68 @@ def _column_floor(var_index, u, weights, level, allowed):
     principal part lands at level + 2 * shift, shift = w . (u - e_k)
     over the pieces of the weight; at that layer two columns clearing
     it feed it again with the square of their coefficients, round after
-    round.  And substituting the column's monomial into a kept term
-    walks it along the lattice step u - e_k; every landing must either
-    stay kept (residue on the kept support is the designed outcome) or
-    sit strictly above the layer being cleared, so the stray set never
-    grows downward."""
-    step = tuple(
-        c - (1 if k == var_index else 0) for k, c in enumerate(u)
-    )
-    floor = level + 2 * weight_value(weights, step)
+    round.  And substituting the column's monomial into a kept term m
+    walks it along the lattice step u - e_k, for t = 1 .. m_k steps;
+    every landing must either stay kept (residue on the kept support is
+    the designed outcome) or sit strictly above the layer being
+    cleared, so the stray set never grows downward.  The walk stops
+    short of its first kept landing, at step T.  Along the ray
+    m + t * step the weight is a minimum of linear forms in t, hence
+    concave, so its least value on 1 .. T sits at t = 1 or t = T: the
+    floor reads off those two endpoints, found in O(|allowed|^2)."""
+    sx, sy = (u[0] - 1, u[1]) if var_index == 0 else (u[0], u[1] - 1)
+    floor = level + 2 * min(px * sx + py * sy for px, py in weights)
     for m in allowed:
-        p = m
-        for _ in range(m[var_index]):
-            p = tuple(a + b for a, b in zip(p, step))
-            if p in allowed:
-                break
-            floor = min(floor, weight_value(weights, p))
+        last = m[var_index]
+        for n in allowed:
+            t = _steps_between(m, n, sx, sy)
+            if t is not None and t <= last:
+                last = t - 1
+        if last:
+            mx, my = m
+            for px, py in weights:
+                for t in (1, last):
+                    floor = min(floor, px * (mx + t * sx) + py * (my + t * sy))
     return floor
+
+
+def _steps_between(m, n, sx, sy):
+    """The least t >= 1 with m + t * (sx, sy) == n, or None."""
+    dx, dy = n[0] - m[0], n[1] - m[1]
+    if sx:
+        t, r = divmod(dx, sx)
+        hit = not r and dy == t * sy
+    elif sy:
+        t, r = divmod(dy, sy)
+        hit = not r and not dx
+    else:
+        t, hit = 1, not dx and not dy
+    return t if hit and t >= 1 else None
+
+
+def _by_weight(terms, wx, wy):
+    """(weight, exponents, coefficient) of each nonzero term, by rising
+    weight."""
+    return sorted(
+        ((wx * i + wy * j, (i, j), c) for (i, j), c in terms.items() if c),
+        key=itemgetter(0),
+    )
+
+
+def _add_products(out, p, q, cut):
+    """Add every product of a term of p and a term of q within weight
+    `cut` to `out`; p and q list (weight, exponents, coefficient), q by
+    rising weight."""
+    for w, (i, j), c in p:
+        room = cut - w
+        for v, (k, l), d in q:
+            if v > room:
+                break
+            key = (i + k, j + l)
+            t = c * d
+            held = out.get(key)
+            out[key] = t if held is None else held + t
+    return out
 
 
 def shear(f, v1, v2, truncation):
@@ -524,37 +580,105 @@ def shear(f, v1, v2, truncation):
     `truncation` = (weight, bound); f comes back unchanged when both
     parts are zero.
 
-    Expands the shifted germ as a Taylor sum over scaled derivatives of
-    f against powers of the shear parts.  A part may be linear (a layer
-    shear of `absorb_above` can hold a multiple of x or y), so the
-    powers need not raise the order; the sum is finite because f is a
-    polynomial and each step differentiates it once more, and it stops
-    sooner when a power of a part passes the bound.
+    By Taylor's formula the sheared germ is the sum over (a, b) of
+    T_ab * (-v1)^a * (-v2)^b, with the binomial derivative table
+    T_ab = sum C(i, a) * C(j, b) * c * x^(i-a) * y^(j-b) read straight
+    off the terms c * x^i * y^j of f, one entry per term and (a, b)
+    (von zur Gathen and Gerhard, "Fast algorithms for Taylor shifts",
+    ISSAC 1997).  A part may be linear (a layer shear of `absorb_above`
+    can hold a multiple of x or y), so the powers need not raise the
+    order.  With m1 and m2 the least weights of the terms of v1 and v2,
+    a term of f of weight W can reach the truncation through T_ab only
+    when W + a * (m1 - wx) + b * (m2 - wy) stays within the bound; no
+    other entry is formed.
+
+    Rational input runs on integers: f, v1 and v2 enter as coprime
+    integer dicts F, V1, V2 with their scales (`localalg._integers`),
+    -v_k = (n_k / d_k) * V_k.  Entry (a, b) is multiplied once by
+    n1^a * d1^(A-a) * n2^b * d2^(B-b), A and B the largest a and b in
+    the table, and by the cached power V1^a * V2^b, and the integer sum
+    is divided by d1^A * d2^B, times the scale of f, once at the end.
+    Tower input runs the same code on its scalar coefficients, with
+    every scale 1.
     """
-    if v1.is_zero() and v2.is_zero():
+    if f.is_zero() or (v1.is_zero() and v2.is_zero()):
         return f
-    vars = f.vars
-    out = SparsePoly.zero(vars)
-    fa = f
-    xpow = SparsePoly.constant(vars, 1)
-    a = 0
-    while not fa.is_zero() and not xpow.is_zero():
-        fab = fa
-        ypow = xpow
-        b = 0
-        while not fab.is_zero() and not ypow.is_zero():
-            out = out + mul_trunc(fab, ypow, *truncation)
-            if v2.is_zero():
-                break
-            b += 1
-            fab = diff(fab, 1) * Fraction(1, b)
-            ypow = -mul_trunc(ypow, v2, *truncation)
-        if v1.is_zero():
-            break
-        a += 1
-        fa = diff(fa, 0) * Fraction(1, a)
-        xpow = -mul_trunc(xpow, v1, *truncation)
-    return out
+    tw, cut = truncation
+    ((wx, wy),) = as_weights(tw)
+    polys = (f, v1, v2)
+    rational = all(c.is_rational() for p in polys for c in p.terms.values())
+    if rational:
+        (F, scale), (V1, q1), (V2, q2) = (
+            _integers(p.terms) if p.terms else ({}, Fraction(1)) for p in polys
+        )
+        q1, q2 = -q1, -q2
+        n1, d1, n2, d2 = q1.numerator, q1.denominator, q2.numerator, q2.denominator
+    else:
+        F = f.terms
+        V1, V2 = ({e: -c for e, c in v.terms.items()} for v in (v1, v2))
+        scale = n1 = d1 = n2 = d2 = 1
+    V1, V2 = _by_weight(V1, wx, wy), _by_weight(V2, wx, wy)
+    # the least rise in weight per power of each part
+    s1 = V1[0][0] - wx if V1 else 0
+    s2 = V2[0][0] - wy if V2 else 0
+    table = {}
+    for (i, j), c in F.items():
+        low = wx * i + wy * j
+        top_b = j if V2 else 0
+        for a in range(i + 1 if V1 else 1):
+            wa = low + a * s1
+            if wa + min(0, top_b * s2) > cut:
+                if s1 >= 0:
+                    break
+                continue
+            ca = comb(i, a) * c
+            for b in range(top_b + 1):
+                if wa + b * s2 > cut:
+                    if s2 >= 0:
+                        break
+                    continue
+                table.setdefault((a, b), {})[(i - a, j - b)] = comb(j, b) * ca
+    big_a = max((a for a, _ in table), default=0)
+    big_b = max((b for _, b in table), default=0)
+    powers = {(0, 0): [(0, (0, 0), 1)]}
+
+    def power(a, b):
+        if (a, b) not in powers:
+            prev, part = (power(a, b - 1), V2) if b else (power(a - 1, 0), V1)
+            powers[a, b] = _by_weight(_add_products({}, prev, part, cut), wx, wy)
+        return powers[a, b]
+
+    out = {}
+    for (a, b), entries in table.items():
+        m = n1**a * d1 ** (big_a - a) * n2**b * d2 ** (big_b - b)
+        if m != 1:
+            entries = {e: m * c for e, c in entries.items()}
+        _add_products(out, _by_weight(entries, wx, wy), power(a, b), cut)
+    if rational:
+        scale = scale / (d1**big_a * d2**big_b)
+        out = {e: from_rational(c * scale) for e, c in out.items() if c}
+        return SparsePoly(f.vars, out)
+    return SparsePoly(f.vars, {e: c for e, c in out.items() if c})
+
+
+# the codes of `localalg.LocalOrder` under the ordinary weight follow
+# term_sort_key: min() of a code dict is its lowest term
+_CODES = LocalOrder((1, 1))
+_NO_LIMIT = _BASE * _BASE
+
+
+def _combination(a, tags, den, b, base, base_den):
+    """a * tags / den - b * base / base_den for combinations of columns
+    kept as integer (or scalar) dicts over a denominator: the pair of the
+    result's dict, without zero values, and its denominator."""
+    g = gcd(den, base_den)
+    a, b = a * (base_den // g), b * (den // g)
+    out = {t: a * v for t, v in tags.items()}
+    for t, v in base.items():
+        w = out[t] = out.get(t, 0) - b * v
+        if not w:
+            del out[t]
+    return out, den // g * base_den
 
 
 class _ColumnTable:
@@ -572,6 +696,17 @@ class _ColumnTable:
     allowed monomials act as free pivots, so residue the ideal cannot
     reach flows onto them.
 
+    Elimination runs cross multiplied, on the dicts of the Milnor
+    engine (`localalg`): each dict is keyed by the integer code of its
+    monomials, so its lowest term is min(d), and a principal part with
+    rational coefficients enters as one coprime integer dict.  A step
+    forms a * col - b * base with a * col[e] == b * base[e], coprime for
+    integers (Bareiss 1968), and never divides a polynomial.  Each pivot
+    carries its combination of the columns it came from as an integer
+    dict over one denominator, so a pivot sheds its content into that
+    denominator exactly.  Tower principal parts run the same code on
+    their scalar coefficients, without content and with denominator 1.
+
     The table carries over to the next layer.  A pivot depends only on
     the columns entered before it, so when a column in the table is no
     longer safe at the new layer weight (see `_column_floor`) the table
@@ -585,13 +720,35 @@ class _ColumnTable:
         self.weights = weights
         self.level = level
         self.allowed = allowed
-        self.truncation = truncation
-        self.partials = (diff(f0, 0), diff(f0, 1))
+        tw, cut = truncation
+        ((wx, wy),) = as_weights(tw)
+        self.cut = cut
+        self.tw = (wx, wy)
+        terms = f0.terms
+        scale = 1
+        self.rational = all(c.is_rational() for c in terms.values())
+        if self.rational:
+            terms, scale = _integers(terms)
+        # each partial as (truncation weight, code, coefficient) by rising
+        # weight
+        self.partials = []
+        for k in (0, 1):
+            d = {}
+            for e, c in terms.items():
+                if e[k]:
+                    p = (e[0] - (k == 0), e[1] - (k == 1))
+                    d[p] = e[k] * c
+            self.partials.append(
+                [(w, _CODES.code(e), c) for w, e, c in _by_weight(d, wx, wy)]
+            )
+        # a column formed from these partials is column_scale times the
+        # true one
+        self.column_scale = 1 / Fraction(scale)
         self.columns = _plan_columns(self.partials, weights, level, truncation)
         self.floors = {}
+        # pivots map a code to (dict, combination, denominator)
         self.pivots = {
-            e: (SparsePoly.monomial(self.vars, e, 1), {})
-            for e in sorted(allowed)
+            _CODES.code(e): ({_CODES.code(e): 1}, {}, 1) for e in allowed
         }
         # columns[:entered] have been weighed at layer weight j; kept
         # lists the ones reduced into the table, in order, as
@@ -627,106 +784,133 @@ class _ColumnTable:
         self.j = j
 
     def _pivot(self, e):
-        """The pivot at e, entering every column whose lowest term is
-        at most e; None when the ideal cannot reach e."""
-        key = term_sort_key(e)
+        """The pivot at code e, entering every column whose lowest term
+        is at most e; None when the ideal cannot reach e."""
         columns = self.columns
-        one = from_rational(1)
-        while self.entered < len(columns) and columns[self.entered][0] <= key:
+        wx, wy = self.tw
+        while self.entered < len(columns) and columns[self.entered][0] <= e:
             position = self.entered
             _, var_index, u = columns[position]
             self.entered += 1
             floor = self._floor(var_index, u)
             if floor <= self.j:
                 continue
-            prod = wjet(mono_mul(self.partials[var_index], u, 1), *self.truncation)
-            made = self._reduce(prod, {(var_index, u): one})
+            room = self.cut - wx * u[0] - wy * u[1]
+            shift = _CODES.code(u)
+            prod = {}
+            for w, code, c in self.partials[var_index]:
+                if w > room:
+                    break
+                prod[code + shift] = c
+            made = self._reduce(prod, {(var_index, u): 1})
             self.kept.append((position, floor, made))
         return self.pivots.get(e)
 
     def _reduce(self, col, combo):
-        """Reduce a column against the table; returns the position of
-        the pivot it becomes, or None when it reduces to zero."""
-        zero = from_rational(0)
+        """Reduce a column against the table; returns the code of the
+        pivot it becomes, or None when it reduces to zero."""
         pivots = self.pivots
-        while not col.is_zero():
-            e = min(col.terms, key=term_sort_key)
+        den = 1
+        while col:
+            e = min(col)
             entry = pivots.get(e)
             if entry is None:
-                pivots[e] = (col, combo)
+                if type(col[e]) is int:
+                    # the pivot sheds its content into its denominator
+                    g = gcd(*col.values())
+                    if g > 1:
+                        col = {k: c // g for k, c in col.items()}
+                        den *= g
+                    g = gcd(den, *combo.values())
+                    if g > 1:
+                        combo = {t: v // g for t, v in combo.items()}
+                        den //= g
+                pivots[e] = (col, combo, den)
                 return e
-            base, base_combo = entry
-            c = col.coeff(e) / base.coeff(e)
-            col = col - base * c
-            for tag, value in base_combo.items():
-                combo[tag] = combo.get(tag, zero) - c * value
+            base, base_combo, base_den = entry
+            a, b = _multipliers(col[e], base[e])
+            col = _combine(col, a, 0, base, b, 0, _NO_LIMIT)
+            combo, den = _combination(a, combo, den, b, base_combo, base_den)
         return None
 
     def layer_shear(self, layer, j):
         """Exact shear removing one weight layer j of stray terms.
 
         Returns the shear parts (v1, v2) with the sign convention
-        x -> x - v1, y -> y - v2.
+        x -> x - v1, y -> y - v2.  The layer is reduced cross
+        multiplied as the columns are, on integers when it and the
+        principal part are rational: scale * layer = s + the columns of
+        combo / den holds throughout, a step a * s - b * base multiplies
+        the scale by a, and the parts are combo / (den * scale), one
+        division per layer.
         """
         self._rewind(j)
-        zero = from_rational(0)
-        s = layer
-        combo = {}
-        while not s.is_zero():
-            e = min(s.terms, key=term_sort_key)
+        terms = layer.terms
+        scale = 1
+        if self.rational and all(c.is_rational() for c in terms.values()):
+            terms, q = _integers(terms)
+            scale = 1 / q
+        s = {_CODES.code(e): c for e, c in terms.items()}
+        combo, den = {}, 1
+        while s:
+            e = min(s)
             entry = self._pivot(e)
             if entry is None:
                 raise PipelineError(
-                    f"tail term {e} is out of reach of the Jacobian ideal"
+                    f"tail term {_CODES.exps(e)} is out of reach of the "
+                    "Jacobian ideal"
                 )
-            base, base_combo = entry
-            c = s.coeff(e) / base.coeff(e)
-            s = s - base * c
-            for tag, value in base_combo.items():
-                combo[tag] = combo.get(tag, zero) + c * value
-        v1 = SparsePoly.zero(self.vars)
-        v2 = SparsePoly.zero(self.vars)
+            base, base_combo, base_den = entry
+            a, b = _multipliers(s[e], base[e])
+            s = _combine(s, a, 0, base, b, 0, _NO_LIMIT)
+            combo, den = _combination(a, combo, den, -b, base_combo, base_den)
+            scale = a * scale
+        inverse = self.column_scale / (scale * den)
+        parts = [{}, {}]
         for (var_index, u), value in sorted(combo.items()):
-            if value.is_zero():
-                continue
-            mono = SparsePoly.monomial(self.vars, u, value)
-            if var_index == 0:
-                v1 = v1 + mono
-            else:
-                v2 = v2 + mono
-        return v1, v2
+            parts[var_index][u] = value * inverse
+        return tuple(SparsePoly.build(self.vars, p) for p in parts)
 
 
 def _plan_columns(partials, weights, level, truncation):
-    """The columns (lowest term key, var_index, u), sorted, read from
-    exponents: shifting by u keeps the term order, so a product's
+    """The columns (code of the lowest term, var_index, u), sorted, read
+    from exponents: shifting by u keeps the term order, so a product's
     lowest term is the partial's lowest term plus u, and the product
     is empty when that term passes the truncation.  Under the ordinary
     weight the lowest term is the last one cut; under a plan's single
     weight every partial of the homogeneous principal part is
-    homogeneous, so its terms are cut together."""
+    homogeneous, so its terms are cut together.
+
+    Each partial lists (truncation weight, code, coefficient) by rising
+    truncation weight.  The product with u keeps the prefix of the terms
+    within cut - tw(u), so its order under the piecewise weight is the
+    least over the pieces of that prefix's minimum under the piece plus
+    the piece's value at u: prefix minima per piece and one bisection
+    give it for each u."""
     tw, cut = truncation
     ((wx, wy),) = as_weights(tw)
     columns = []
     for var_index, partial in enumerate(partials):
-        if partial.is_zero():
+        if not partial:
             continue
-        exps = list(partial.terms)
-        lowest = min(exps, key=term_sort_key)
-        room = cut - wx * lowest[0] - wy * lowest[1]
+        tws = [w for w, _, _ in partial]
+        exps = [_CODES.exps(code) for _, code, _ in partial]
+        prefix = []
+        for px, py in weights:
+            run = list(accumulate((px * a + py * b for a, b in exps), min))
+            prefix.append((px, py, run))
+        lowest = min(code for _, code, _ in partial)
+        la, lb = _CODES.exps(lowest)
+        room = cut - wx * la - wy * lb
         for a in range(room // wx + 1):
             for b in range((room - wx * a) // wy + 1):
                 if a == 0 and b == 0:
                     continue
-                order = min(
-                    weight_value(weights, (e[0] + a, e[1] + b))
-                    for e in exps
-                    if wx * (e[0] + a) + wy * (e[1] + b) <= cut
-                )
+                n = bisect_right(tws, cut - wx * a - wy * b)
+                order = min(run[n - 1] + px * a + py * b for px, py, run in prefix)
                 if order <= level:
                     continue
-                low = term_sort_key((lowest[0] + a, lowest[1] + b))
-                columns.append((low, var_index, (a, b)))
+                columns.append((lowest + _CODES.code((a, b)), var_index, (a, b)))
     columns.sort()
     return columns
 

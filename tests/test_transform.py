@@ -5,6 +5,7 @@ import signal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arnoldnf import cli
 from arnoldnf.catalog import (
@@ -35,9 +36,18 @@ from arnoldnf.poly import (
     wjet,
     wlayer,
 )
-from arnoldnf.scalars import QQ, adjoin_root, approximate, from_rational
+from arnoldnf.scalars import (
+    QQ,
+    AlgebraicScalar,
+    adjoin_root,
+    approximate,
+    from_rational,
+)
 from arnoldnf.transform import (
+    _CODES,
+    _ColumnTable,
     _absorb,
+    _column_floor,
     absorb_above,
     apply_linear,
     clear_level,
@@ -57,6 +67,7 @@ from milnor_oracle import brute_milnor
 # the package exports the classify function under the module's name
 classify_module = importlib.import_module("arnoldnf.classify")
 transform_module = importlib.import_module("arnoldnf.transform")
+poly_module = importlib.import_module("arnoldnf.poly")
 
 
 def P(text, vars=("x", "y")):
@@ -553,6 +564,74 @@ def test_shear_without_parts_returns_f():
     assert shear(f, zero, zero, ((1, 1), 6)) is f
 
 
+_SQRT2 = adjoin_root(QQ, 2, from_rational(2))[1]
+_RATIONALS = st.sampled_from(
+    [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
+)
+
+
+@st.composite
+def _drawn_poly(draw, exps, min_size, max_size):
+    """A polynomial on the given exponents, over Q or over Q(sqrt 2)."""
+    terms = draw(
+        st.dictionaries(
+            st.sampled_from(exps), _RATIONALS, min_size=min_size, max_size=max_size
+        )
+    )
+    if draw(st.booleans()):
+        terms = {
+            e: from_rational(c) + draw(_RATIONALS) * _SQRT2
+            for e, c in terms.items()
+        }
+    return B(terms)
+
+
+_GERM_EXPS = [(a, b) for a in range(8) for b in range(8) if 2 <= a + b <= 8]
+# parts may hold x or y themselves, as a layer shear can
+_PART_EXPS = [(a, b) for a in range(5) for b in range(5) if 1 <= a + b <= 4]
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    _drawn_poly(_GERM_EXPS, 1, 6),
+    _drawn_poly(_PART_EXPS, 1, 3),
+    _drawn_poly(_PART_EXPS, 1, 3),
+    st.sampled_from([None, 0, 1]),
+    st.sampled_from([(1, 1), (2, 1), (1, 3), (3, 2), (7, 3)]),
+    st.integers(4, 30),
+)
+def test_shear_matches_substitute_on_drawn_germs(f, v1, v2, zero, weight, bound):
+    # rational and sqrt(2) tower germs and parts, one part zero or
+    # none, cut under one weight; a linear part may lower the weight of
+    # a term, which the derivative table must still reach
+    v1, v2 = (
+        SparsePoly.zero(f.vars) if k == zero else v for k, v in enumerate((v1, v2))
+    )
+    truncation = ((weight,), bound)
+    assert shear(f, v1, v2, truncation) == _substituted(f, v1, v2, truncation)
+
+
+def test_rational_shear_runs_on_integers(monkeypatch):
+    # a rational shear reads its derivative table off the terms and
+    # multiplies integers: no diff and no scalar product runs
+    f = P("1/2*x^3+x^2*y^3-2/3*y^10+3/5*x^3*y+7*x*y^8")
+    v1 = P("2/3*x*y^2-1/4*y^4")
+    v2 = P("23/54*x+y^2")
+    truncation = ((1, 1), 14)
+    want = _substituted(f, v1, v2, truncation)
+
+    def refuse(*args):
+        raise AssertionError("a rational shear left the integers")
+
+    for module in (poly_module, transform_module):
+        monkeypatch.setattr(module, "diff", refuse)
+    monkeypatch.setattr(AlgebraicScalar, "__mul__", refuse)
+    monkeypatch.setattr(AlgebraicScalar, "__rmul__", refuse)
+    got = shear(f, v1, v2, truncation)
+    monkeypatch.undo()
+    assert got == want
+
+
 # -- exact absorption above a corner level ---------------------------
 
 J_CORNER_WEIGHTS = ((63, 18), (60, 20))
@@ -804,6 +883,170 @@ def test_absorb_stops_short_of_second_order_feedback():
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert g == P("x^3+x^2*y^2-2*y^9")
+
+
+def _walked_column_floor(var_index, u, weights, level, allowed):
+    """_column_floor as a walk: every step of the ray from each kept
+    monomial, up to its first kept landing."""
+    step = tuple(c - (1 if k == var_index else 0) for k, c in enumerate(u))
+    floor = level + 2 * weight_value(weights, step)
+    for m in allowed:
+        p = m
+        for _ in range(m[var_index]):
+            p = tuple(a + b for a, b in zip(p, step))
+            if p in allowed:
+                break
+            floor = min(floor, weight_value(weights, p))
+    return floor
+
+
+def _scanned_columns(f0, weights, level, truncation):
+    """The column plan with a min over every exponent of the partial
+    per u, on the partials of f0, as (term_sort_key of the lowest term,
+    var_index, u)."""
+    tw, cut = truncation
+    ((wx, wy),) = as_weights(tw)
+    columns = []
+    for var_index in (0, 1):
+        partial = diff(f0, var_index)
+        if partial.is_zero():
+            continue
+        exps = list(partial.terms)
+        lowest = min(exps, key=term_sort_key)
+        room = cut - wx * lowest[0] - wy * lowest[1]
+        for a in range(room // wx + 1):
+            for b in range((room - wx * a) // wy + 1):
+                if a == 0 and b == 0:
+                    continue
+                order = min(
+                    weight_value(weights, (e[0] + a, e[1] + b))
+                    for e in exps
+                    if wx * (e[0] + a) + wy * (e[1] + b) <= cut
+                )
+                if order <= level:
+                    continue
+                low = term_sort_key((lowest[0] + a, lowest[1] + b))
+                columns.append((low, var_index, (a, b)))
+    columns.sort()
+    return columns
+
+
+def _planned(table):
+    return [
+        (term_sort_key(_CODES.exps(code)), var_index, u)
+        for code, var_index, u in table.columns
+    ]
+
+
+def test_column_plans_and_floors_match_the_scans_on_harness_tables(monkeypatch):
+    # every table the seed-1 harness builds: the plan read off prefix
+    # minima and the floors read off the two ends of each walk equal
+    # the exponent scan and the step by step walk
+    tables = []
+    init = _ColumnTable.__init__
+
+    def recording_init(table, *args):
+        init(table, *args)
+        tables.append((table, args))
+
+    monkeypatch.setattr(_ColumnTable, "__init__", recording_init)
+    for _, g in harness_germs():
+        classify(g)
+    monkeypatch.undo()
+    assert len(tables) >= 30
+    assert any(len(args[1]) == 2 for _, args in tables)
+    for table, (f0, weights, level, allowed, truncation) in tables:
+        assert _planned(table) == _scanned_columns(f0, weights, level, truncation)
+        for _, var_index, u in table.columns:
+            assert _column_floor(var_index, u, weights, level, allowed) == (
+                _walked_column_floor(var_index, u, weights, level, allowed)
+            )
+
+
+_PIECE = st.tuples(st.integers(1, 9), st.integers(1, 9))
+_SMALL = st.tuples(st.integers(0, 6), st.integers(0, 6))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(
+    st.tuples(_PIECE, _PIECE),
+    st.integers(0, 40),
+    st.integers(0, 1),
+    _SMALL,
+    _SMALL,
+    st.lists(st.integers(1, 5), max_size=2),
+    st.lists(_SMALL, max_size=1),
+)
+def test_column_floor_matches_the_walk(weights, level, var_index, u, m, hops, extra):
+    # two-piece weights; kept sets of 0-3 monomials, some on the ray
+    # from m, so the walk stops short; u = e_k gives the zero step
+    step = tuple(c - (1 if k == var_index else 0) for k, c in enumerate(u))
+    allowed = {m} | set(extra)
+    for t in hops:
+        p = tuple(a + t * b for a, b in zip(m, step))
+        if min(p) >= 0:
+            allowed.add(p)
+    for kept in (set(), allowed):
+        assert _column_floor(var_index, u, weights, level, kept) == (
+            _walked_column_floor(var_index, u, weights, level, kept)
+        )
+
+
+def test_column_floor_of_the_zero_step():
+    # u = e_k shifts nothing: a kept monomial lands on itself, and the
+    # second order term lands on the level itself
+    weights = ((3, 2), (2, 3))
+    for allowed in (set(), {(2, 3)}, {(0, 4), (4, 0)}):
+        assert _column_floor(0, (1, 0), weights, 12, allowed) == 12
+        assert _walked_column_floor(0, (1, 0), weights, 12, allowed) == 12
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    st.dictionaries(
+        st.sampled_from(
+            [(a, b) for a in range(7) for b in range(9) if 3 <= a + b <= 9]
+        ),
+        _RATIONALS,
+        min_size=2,
+        max_size=5,
+    ),
+    st.tuples(_PIECE, _PIECE),
+    st.integers(0, 30),
+    st.integers(6, 16),
+)
+def test_column_plan_matches_the_scan(terms, weights, level, cut):
+    # two-piece weights under the ordinary truncation, on principal
+    # parts of any shape
+    f0 = B(terms)
+    truncation = ((1, 1), cut)
+    table = _ColumnTable(f0, weights, level, set(), truncation)
+    assert _planned(table) == _scanned_columns(f0, weights, level, truncation)
+
+
+@pytest.mark.parametrize(
+    "key, indices", [("J_3,p", (3, 1)), ("Z_1,p", (1, 1))]
+)
+def test_tower_column_table_matches_eager_elimination(monkeypatch, key, indices):
+    # the image under x -> sqrt(2) * x of a tangent image of a corner
+    # germ reaches absorb_above with a principal part over Q(sqrt 2),
+    # so its column table runs on tower scalars; its shears and result
+    # must equal the eager elimination's, term for term
+    values = {name: 2 for name, _ in moduli_positions(key, indices)}
+    f0 = instantiate(key, indices, values)
+    g = substitute(f0, {"x": P("x+x^3")}, truncation=((1, 1), 30))
+    g = substitute(g, {"x": B({(1, 0): _SQRT2})})
+    r, calls = _absorb_calls(monkeypatch, g)
+    assert r.name == display_name(key, indices)
+    assert len(calls) == 1
+    args, result, shears = calls[0]
+    assert not all(c.is_rational() for c in args[0].terms.values())
+    assert not all(
+        c.is_rational() for c in wlayer(args[0], args[1], args[2]).terms.values()
+    )
+    want, want_shears = _eager_absorb_above(*args)
+    assert shears and shears == want_shears
+    assert result == want
 
 
 # -- rescaling marked coefficients to one ----------------------------
