@@ -57,8 +57,10 @@ class Result:
     `key` and `indices` pick the row of `catalog.FAMILIES` that gives
     `name`, `modality` and `parts`, the normal form as (label, exponent)
     pairs, label 1 meaning a unit monomial; `parameters` is an ordered
-    list of (name, scalar) pairs giving the exact moduli; `trace`
-    records the reduction steps in order.
+    list of (name, value) pairs giving the exact moduli, each value a
+    Fraction when it is rational and an `AlgebraicScalar` over its
+    radical tower otherwise; `trace` records the reduction steps in
+    order.
 
     The parameter values do not change under a tangent to identity
     change of coordinates.  Under a general change they are fixed only
@@ -274,7 +276,7 @@ def _complete_square_tail(g, vend, bound, trace):
     """Trade an (a, 1) end vertex for a pure power of x by completing
     the square against the double line term."""
     pivot = g.coeff((2, 2))
-    if pivot.is_zero():
+    if not pivot:
         raise PipelineError("square completion lost its pivot")
     k = vend[0] - 2
     if k < 2:
@@ -318,7 +320,7 @@ def _finish(g, plan, split, bound, trace):
     g = rescale_to_unit(g, plan.units)
     trace.append("units at " + ", ".join(str(e) for e in plan.units))
     parameters = [(pname, g.coeff(exps)) for pname, exps in plan.moduli]
-    if plan.restriction is not None and plan.restriction(parameters[0][1]).is_zero():
+    if plan.restriction is not None and not plan.restriction(parameters[0][1]):
         raise PipelineError("normal form landed on a forbidden stratum")
     r = Result(plan.key, plan.indices, plan.mu, 2, parameters, trace)
     trace.append(f"matched {r.name}")

@@ -21,6 +21,7 @@ from .classify import classify
 from .errors import ParseError, PipelineError, Rejection
 from .poly import SparsePoly, parse_poly, substitute
 from .scalars import (
+    QQ,
     approximate,
     format_scalar,
     format_tower,
@@ -28,6 +29,7 @@ from .scalars import (
     scalar_payload,
     signed_sum,
     term_text,
+    tower_of,
 )
 from .transform import apply_linear
 
@@ -69,9 +71,9 @@ def equation_string(result):
     the input grammar; None when some value leaves the rationals."""
     values = {1: 1}
     for name, value in result.parameters:
-        if not value.is_rational():
+        if tower_of(value) is not QQ:
             return None
-        values[name] = value.as_fraction()
+        values[name] = value
     return _form_text(result.parts, values.__getitem__)
 
 
@@ -101,9 +103,8 @@ def _print_result(result, digits, with_trace):
     legend = {}
     for name, value in result.parameters:
         print(f"{name} = {format_scalar(value)} ~ {approximate(value, digits)}")
-        if not value.is_rational():
-            for line in format_tower(value.tower):
-                legend[line] = None
+        for line in format_tower(tower_of(value)):
+            legend[line] = None
     for line in legend:
         print(f"  {line}")
     print(f"mu = {result.mu}")
@@ -250,7 +251,7 @@ def _run_sample(f0, kind, rng, bound, row_name, values):
         want = values.get(name)
         if want is None:
             continue
-        if not value.is_rational() or value.as_fraction() != want:
+        if value != want:
             params_ok = False
             record.setdefault("mismatches", []).append(
                 f"{name}={format_scalar(value)} expected {want}"

@@ -40,7 +40,7 @@ from operator import itemgetter
 
 from .errors import PipelineError
 from .poly import SparsePoly, as_weights, diff, poly_order, weight_value, wjet, wlayer
-from .scalars import from_rational
+from .scalars import QQ, tower_of
 
 # the code base B: dicts enter with exponents below it and records keep
 # weighted degrees below B/2, so no shift of a record reaches B
@@ -87,22 +87,11 @@ def mono_mul(f, exps, coeff):
 # -- the engine ------------------------------------------------------
 
 
-def _coeff_dicts(polys, order):
-    """Code-keyed engine input for nonzero polynomials: coprime integers
-    when every coefficient is rational, tower scalars otherwise."""
-    rational = all(c.is_rational() for f in polys for c in f.terms.values())
-    return [
-        _encoded(_integers(f.terms)[0] if rational else f.terms, order)
-        for f in polys
-    ]
-
-
 def _integers(terms):
-    """(coprime integers, q) for nonzero rational coefficients: each
+    """(coprime integers, q) for nonzero Fraction coefficients: each
     coefficient is q times its integer."""
-    qs = {e: c.as_fraction() for e, c in terms.items()}
-    scale = lcm(*(q.denominator for q in qs.values()))
-    ints = {e: q.numerator * (scale // q.denominator) for e, q in qs.items()}
+    scale = lcm(*(q.denominator for q in terms.values()))
+    ints = {e: q.numerator * (scale // q.denominator) for e, q in terms.items()}
     g = gcd(*ints.values())
     return {e: c // g for e, c in ints.items()}, Fraction(g, scale)
 
@@ -276,7 +265,7 @@ def _staircase(les, cap):
 def _partials(f, order):
     """Engine dicts of the nonzero partials, read off the terms of f."""
     t = f.terms
-    if all(c.is_rational() for c in t.values()):
+    if tower_of(*t.values()) is QQ:
         t = _integers(t)[0]
     dx = {(a - 1, b): a * c for (a, b), c in t.items() if a}
     dy = {(a, b - 1): b * c for (a, b), c in t.items() if b}
@@ -363,22 +352,22 @@ def linear_solve(rows, rhs):
     pivots = []
     r = 0
     for col in range(n):
-        pivot = next((k for k in range(r, m) if not aug[k][col].is_zero()), None)
+        pivot = next((k for k in range(r, m) if aug[k][col]), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
         pv = aug[r][col]
         aug[r] = [x / pv for x in aug[r]]
         for k in range(m):
-            if k != r and not aug[k][col].is_zero():
+            if k != r and aug[k][col]:
                 factor = aug[k][col]
                 aug[k] = [x - factor * y for x, y in zip(aug[k], aug[r])]
         pivots.append(col)
         r += 1
     for k in range(r, m):
-        if not aug[k][n].is_zero():
+        if aug[k][n]:
             return None
-    solution = [from_rational(0)] * n
+    solution = [Fraction(0)] * n
     for k, col in enumerate(pivots):
         solution[col] = aug[k][n]
     return solution
@@ -447,9 +436,9 @@ def layer_decompose(g, f0, weights, layer, extra_monomials):
         return None
     v1 = SparsePoly.zero(vars)
     v2 = SparsePoly.zero(vars)
-    coeffs = {tuple(m): from_rational(0) for m in extra_monomials}
+    coeffs = {tuple(m): Fraction(0) for m in extra_monomials}
     for value, (kind, var_index, data) in zip(solution, tags):
-        if value.is_zero():
+        if not value:
             continue
         if kind == "shear":
             mono = SparsePoly.monomial(vars, data, value)

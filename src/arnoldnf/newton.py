@@ -8,7 +8,8 @@ leaves a univariate polynomial; its squarefree structure decides whether
 the face is degenerate and, if so, which repeated factor to straighten.
 
 Univariate polynomials over a radical tower are handled here as
-ascending coefficient lists.
+ascending coefficient lists, a rational coefficient a Fraction and any
+other an `AlgebraicScalar`; `uni_make` turns ints into Fractions.
 """
 
 from __future__ import annotations
@@ -18,14 +19,18 @@ from fractions import Fraction
 
 from .errors import PipelineError
 from .poly import SparsePoly, weight_value, wlayer
-from .scalars import adjoin_root, from_rational
+from .scalars import QQ, adjoin_root, tower_of
+
+_ZERO = Fraction(0)
 
 # -- univariate polynomials over a tower -----------------------------
 
 
 def uni_make(coeffs):
-    out = [c if hasattr(c, "is_zero") else from_rational(c) for c in coeffs]
-    while out and out[-1].is_zero():
+    """The list without its zero top coefficients, each int made a
+    Fraction."""
+    out = [Fraction(c) if type(c) is int else c for c in coeffs]
+    while out and not out[-1]:
         out.pop()
     return out
 
@@ -39,7 +44,7 @@ def uni_diff(f):
 
 
 def uni_eval(f, value):
-    acc = from_rational(0)
+    acc = _ZERO
     for c in reversed(f):
         acc = acc * value + c
     return acc
@@ -49,8 +54,8 @@ def uni_sub(f, g):
     n = max(len(f), len(g))
     out = []
     for k in range(n):
-        a = f[k] if k < len(f) else from_rational(0)
-        b = g[k] if k < len(g) else from_rational(0)
+        a = f[k] if k < len(f) else _ZERO
+        b = g[k] if k < len(g) else _ZERO
         out.append(a - b)
     return uni_make(out)
 
@@ -68,9 +73,9 @@ def uni_divmod(f, g):
     if not g:
         raise ZeroDivisionError("univariate division by zero")
     rem = list(f)
-    quot = [from_rational(0)] * max(len(f) - len(g) + 1, 0)
+    quot = [_ZERO] * max(len(f) - len(g) + 1, 0)
     while len(rem) >= len(g) and rem:
-        if rem[-1].is_zero():
+        if not rem[-1]:
             rem.pop()
             continue
         shift = len(rem) - len(g)
@@ -164,12 +169,12 @@ def rational_roots(coeffs):
     in lowest terms has b | L, so L*a/b is an integer root of the monic
     Q(y) = L**(n-1) * P(y/L), found among the root floors of Q."""
     coeffs = uni_make(coeffs)
-    if not all(c.is_rational() for c in coeffs):
+    if tower_of(*coeffs) is not QQ:
         raise ValueError("rational root search needs rational coefficients")
     if len(coeffs) <= 1:
         return []
-    den = math.lcm(*[c.as_fraction().denominator for c in coeffs])
-    ints = [int(c.as_fraction() * den) for c in coeffs]
+    den = math.lcm(*[c.denominator for c in coeffs])
+    ints = [int(c * den) for c in coeffs]
     n, lead = len(ints) - 1, ints[-1]
     q = [c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
     ys = {y for k in _root_floors(q) for y in (k, k + 1) if not _sign_at(q, y)}
@@ -186,7 +191,7 @@ def quadratic_roots(tower, a, b, c):
     discriminant is not a square in it.
     """
     disc = b * b - 4 * a * c
-    if disc.is_zero():
+    if not disc:
         r = -b / (2 * a)
         return tower, [r, r]
     tower2, s = adjoin_root(tower, 2, disc)
@@ -205,28 +210,28 @@ def cubic_root(tower, coeffs):
     if uni_degree(coeffs) != 3:
         raise ValueError("cubic_root expects degree exactly 3")
     monic = uni_monic(coeffs)
-    if all(c.is_rational() for c in monic):
+    if tower_of(*monic) is QQ:
         rats = rational_roots(monic)
         if rats:
-            return tower, from_rational(rats[0])
+            return tower, rats[0]
     c0, c1, c2, _ = monic
     shift = c2 / 3
     p = c1 - c2 * c2 / 3
     q = c0 - c1 * c2 / 3 + 2 * (c2 ** 3) / 27
-    if p.is_zero() and q.is_zero():
+    if not p and not q:
         return tower, -shift
     radicand = q * q / 4 + (p ** 3) / 27
-    if radicand.is_zero():
-        s = from_rational(0)
+    if not radicand:
+        s = _ZERO
     else:
         tower, s = adjoin_root(tower, 2, radicand)
     ucube = q / (-2) + s
-    if ucube.is_zero():
+    if not ucube:
         ucube = q / (-2) - s
     tower, u = adjoin_root(tower, 3, ucube)
     root = u - p / (3 * u) - shift
     check = uni_eval(monic, root)
-    if not check.is_zero():
+    if check:
         raise PipelineError("cubic root construction failed its own check")
     return tower, root
 
@@ -355,7 +360,7 @@ def face_decompose(g, face):
     nu, rem = divmod(top - a, wy)
     if rem:
         raise PipelineError("face jet support is not aligned with the face")
-    coeffs = [from_rational(0)] * (nu + 1)
+    coeffs = [_ZERO] * (nu + 1)
     for (i, j), c in g.terms.items():
         k, rem = divmod(i - a, wy)
         if rem or j != b + (nu - k) * wx:
@@ -370,7 +375,7 @@ def face_compose(vars, a, b, h, face):
     nu = len(h) - 1
     terms = {}
     for k, c in enumerate(h):
-        if not c.is_zero():
+        if c:
             terms[(a + k * wy, b + (nu - k) * wx)] = c
     return SparsePoly(tuple(vars), terms)
 

@@ -1,9 +1,12 @@
 """Sparse multivariate polynomials over radical towers.
 
-A polynomial is a mapping from exponent tuples to nonzero scalars,
+A polynomial is a mapping from exponent tuples to nonzero coefficients,
 together with the tuple of variable names that gives the exponent
-positions their meaning.  Coefficients may live in different prefixes of
-a common tower; the scalar layer promotes on demand.
+positions their meaning.  A rational coefficient is a plain Fraction,
+and only a coefficient that needs a radical is an `AlgebraicScalar`;
+coefficients may live in different prefixes of a common tower, and the
+scalar layer promotes on demand.  `build` turns int coefficients into
+Fractions, so no quotient of two coefficients is ever a float.
 
 Weight data is a tuple of weight vectors.  The weighted degree of a
 monomial is the minimum of its values under the vectors, so a single
@@ -14,7 +17,7 @@ piecewise grading used along a Newton polygon.  A truncation
 `parse_poly` reads a polynomial over Q from text.  Its parser evaluates
 on exact rational terms, dicts from exponent tuples to nonzero ints and
 Fractions kept in the order SparsePoly's own arithmetic would give, and
-builds one SparsePoly at the end.
+builds one SparsePoly of Fractions at the end.
 """
 
 from __future__ import annotations
@@ -26,17 +29,13 @@ from .errors import ParseError
 from .scalars import (
     AlgebraicScalar,
     format_scalar,
-    from_rational,
     monomial_text,
     signed_sum,
     term_text,
 )
 
-
-def _as_scalar(value):
-    if isinstance(value, AlgebraicScalar):
-        return value
-    return from_rational(value)
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class SparsePoly:
@@ -51,9 +50,8 @@ class SparsePoly:
         vars = tuple(vars)
         terms = {}
         for exps, c in dict(items).items():
-            c = _as_scalar(c)
-            if not c.is_zero():
-                terms[tuple(exps)] = c
+            if c:
+                terms[tuple(exps)] = Fraction(c) if type(c) is int else c
         return cls(vars, terms)
 
     @classmethod
@@ -70,7 +68,7 @@ class SparsePoly:
         vars = tuple(vars)
         exps = [0] * len(vars)
         exps[vars.index(name)] = 1
-        return cls(vars, {tuple(exps): from_rational(1)})
+        return cls(vars, {tuple(exps): _ONE})
 
     @classmethod
     def monomial(cls, vars, exps, coeff=1):
@@ -82,7 +80,7 @@ class SparsePoly:
         return not self.terms
 
     def coeff(self, exps):
-        return self.terms.get(tuple(exps), from_rational(0))
+        return self.terms.get(tuple(exps), _ZERO)
 
     def total_degree(self):
         if not self.terms:
@@ -111,7 +109,7 @@ class SparsePoly:
         for exps, c in other.terms.items():
             acc = terms.get(exps)
             total = c if acc is None else acc + c
-            if total.is_zero():
+            if not total:
                 terms.pop(exps, None)
             else:
                 terms[exps] = total
@@ -132,11 +130,10 @@ class SparsePoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, AlgebraicScalar)):
-            c = _as_scalar(other)
-            if c.is_zero():
+            if not other:
                 return SparsePoly.zero(self.vars)
             return SparsePoly(
-                self.vars, {e: k * c for e, k in self.terms.items()}
+                self.vars, {e: k * other for e, k in self.terms.items()}
             )
         self._check(other)
         terms = {}
@@ -145,9 +142,7 @@ class SparsePoly:
                 e = tuple(x + y for x, y in zip(ea, eb))
                 acc = terms.get(e)
                 terms[e] = ca * cb if acc is None else acc + ca * cb
-        return SparsePoly(
-            self.vars, {e: c for e, c in terms.items() if not c.is_zero()}
-        )
+        return SparsePoly(self.vars, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -239,7 +234,7 @@ def mul_trunc(a, b, weights, bound):
             e = tuple(x + y for x, y in zip(ea, eb))
             acc = terms.get(e)
             terms[e] = ca * cb if acc is None else acc + ca * cb
-    return SparsePoly(a.vars, {e: c for e, c in terms.items() if not c.is_zero()})
+    return SparsePoly(a.vars, {e: c for e, c in terms.items() if c})
 
 
 def substitute(f, images, truncation=None):
@@ -295,9 +290,7 @@ def substitute(f, images, truncation=None):
             held = acc.get(e)
             acc[e] = v if held is None else held + v
     # every product is cut already, and a constant piece has weight 0
-    return SparsePoly(
-        target_vars, {e: c for e, c in acc.items() if not c.is_zero()}
-    )
+    return SparsePoly(target_vars, {e: c for e, c in acc.items() if c})
 
 
 # -- canonical term order and printing -------------------------------
@@ -316,8 +309,8 @@ def poly_str(f):
     parts = []
     for exps, c in sorted_terms(f):
         mono = monomial_text(f.vars, exps)
-        if c.is_rational():
-            parts.append(term_text(c.as_fraction(), mono))
+        if not isinstance(c, AlgebraicScalar):
+            parts.append(term_text(c, mono))
         else:
             body = f"({format_scalar(c)})"
             parts.append(f"{body}*{mono}" if mono else body)
@@ -486,7 +479,7 @@ def parse_poly(text, vars=None):
     `*`, nonnegative integer powers (`^` or `**`), integers and `a/b`
     rationals, variables, parentheses and unary minus.  Arithmetic runs
     on exact rational terms, and each coefficient of the result becomes
-    a scalar once.
+    a Fraction once.
 
     Without an explicit variable list, identifiers found in the text
     become the variables, ordered alphabetically.  An explicit list must
@@ -507,4 +500,4 @@ def parse_poly(text, vars=None):
     kind, value, pos = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected {value!r}", pos)
-    return SparsePoly(vars, {e: from_rational(c) for e, c in terms.items()})
+    return SparsePoly.build(vars, terms)

@@ -1,5 +1,12 @@
 """Exact arithmetic in radical extension towers of the rationals.
 
+A rational is a plain Fraction everywhere in the package, and an
+`AlgebraicScalar` is an element that needs a radical: it lives over a
+tower of height at least one.  Arithmetic between the two goes through
+the int and Fraction branches of `AlgebraicScalar`, and any result that
+lands back in Q comes out as a Fraction.  `tower_of` gives the tower a
+value lives in, Q for a rational.
+
 A tower is a chain Q = K_0 < K_1 < ... < K_h where each step adjoins a
 single radical: K_{i+1} = K_i(g_i) with g_i**n_i equal to a chosen
 nonzero radicand in K_i.  Elements are dense coordinate vectors over the
@@ -70,12 +77,12 @@ class FieldTower:
     """A radical extension tower of Q, described by its adjunction steps.
 
     `levels` is a tuple of (n, radicand) pairs; the radicand of step i is
-    an AlgebraicScalar over the tower formed by the steps before it.
-    Towers compare structurally, so two towers built by the same steps
-    are interchangeable.
+    a Fraction, or an AlgebraicScalar over the tower formed by the steps
+    before it.  Towers compare structurally, so two towers built by the
+    same steps are interchangeable.
     """
 
-    __slots__ = ("levels", "degree", "strides", "_key", "_hash")
+    __slots__ = ("levels", "degree", "strides", "_hash")
 
     def __init__(self, levels=()):
         levels = tuple(levels)
@@ -87,15 +94,16 @@ class FieldTower:
         self.levels = levels
         self.degree = deg
         self.strides = tuple(strides)
-        self._key = tuple((n, rad.tower._key, rad.coords) for n, rad in levels)
-        self._hash = hash(self._key)
+        self._hash = hash(levels)
 
     @property
     def height(self):
         return len(self.levels)
 
     def __eq__(self, other):
-        return isinstance(other, FieldTower) and self._key == other._key
+        return self is other or (
+            isinstance(other, FieldTower) and self.levels == other.levels
+        )
 
     def __hash__(self):
         return self._hash
@@ -106,8 +114,7 @@ class FieldTower:
         return f"FieldTower(Q, {self.height} radicals, degree {self.degree})"
 
     def is_prefix_of(self, other):
-        h = self.height
-        return other.height >= h and other._key[:h] == self._key
+        return other.levels[: self.height] == self.levels
 
     def prefix(self, k):
         if k == self.height:
@@ -133,7 +140,7 @@ class FieldTower:
                 return value
             raise ValueError("scalar does not live in this tower")
         if isinstance(value, (int, Fraction)):
-            return from_rational(value)
+            return Fraction(value)
         raise TypeError(f"cannot embed {type(value).__name__} into a field tower")
 
     def exps_of(self, index):
@@ -145,10 +152,30 @@ class FieldTower:
 QQ = FieldTower()
 
 
+def tower_of(*values):
+    """The deepest tower among the values: QQ itself when every one of
+    them is rational."""
+    tower = QQ
+    for c in values:
+        if isinstance(c, AlgebraicScalar) and c.tower.height > tower.height:
+            tower = c.tower
+    return tower
+
+
+def _coords_over(value, tower):
+    """The coordinates of a rational or a scalar over a tower it lives in."""
+    if isinstance(value, AlgebraicScalar):
+        return value.promoted(tower).coords
+    return (Fraction(value),) + (_ZERO,) * (tower.degree - 1)
+
+
 class AlgebraicScalar:
-    """An element of a radical tower, kept over the shortest prefix tower
-    that can express it.  Arithmetic between scalars over different
-    prefixes of a common tower promotes to the deeper one on the fly."""
+    """An element of a radical tower of height at least one, kept over
+    the shortest prefix tower that can express it.  Arithmetic between
+    scalars over different prefixes of a common tower promotes to the
+    deeper one on the fly; an int or Fraction operand enters the
+    coordinates directly.  A scalar never equals a rational, since every
+    result that lands in Q comes back as a Fraction."""
 
     __slots__ = ("tower", "coords")
 
@@ -158,7 +185,8 @@ class AlgebraicScalar:
 
     @classmethod
     def make(cls, tower, coords):
-        """Normalize: fractionize coordinates and drop unused top levels."""
+        """Normalize: fractionize coordinates and drop unused top levels;
+        a value of Q comes back as a Fraction."""
         coords = [c if type(c) is Fraction else Fraction(c) for c in coords]
         levels = list(tower.levels)
         while levels:
@@ -167,22 +195,13 @@ class AlgebraicScalar:
                 break
             del coords[width:]
             levels.pop()
+        if not levels:
+            return coords[0]
         if len(levels) != tower.height:
             tower = FieldTower(levels)
         return cls(tower, tuple(coords))
 
     # -- structure ---------------------------------------------------
-
-    def is_zero(self):
-        return not any(self.coords)
-
-    def is_rational(self):
-        return self.tower.height == 0
-
-    def as_fraction(self):
-        if self.tower.height != 0:
-            raise ValueError("scalar is not rational")
-        return self.coords[0]
 
     def iter_terms(self):
         """Yield (exponent tuple, Fraction) for each nonzero coordinate."""
@@ -204,8 +223,6 @@ class AlgebraicScalar:
         return hash((self.tower, self.coords))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.tower.height == 0 and self.coords[0] == other
         if not isinstance(other, AlgebraicScalar):
             return NotImplemented
         return self.tower == other.tower and self.coords == other.coords
@@ -216,10 +233,7 @@ class AlgebraicScalar:
     # -- arithmetic --------------------------------------------------
 
     def _pair(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = from_rational(other)
-        elif not isinstance(other, AlgebraicScalar):
-            return None
+        """Both scalars written over the deeper of their towers."""
         if self.tower.is_prefix_of(other.tower):
             t = other.tower
         elif other.tower.is_prefix_of(self.tower):
@@ -229,17 +243,15 @@ class AlgebraicScalar:
         return self.promoted(t), other.promoted(t)
 
     def _combine(self, other, op):
-        if (
-            type(other) is AlgebraicScalar
-            and not self.tower.levels
-            and not other.tower.levels
-        ):
-            return AlgebraicScalar(self.tower, (op(self.coords[0], other.coords[0]),))
-        pair = self._pair(other)
-        if pair is None:
+        if isinstance(other, AlgebraicScalar):
+            a, b = self._pair(other)
+            return AlgebraicScalar.make(a.tower, list(map(op, a.coords, b.coords)))
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        a, b = pair
-        return AlgebraicScalar.make(a.tower, list(map(op, a.coords, b.coords)))
+        # a rational moves the constant coordinate alone: the tower stays
+        coords = list(self.coords)
+        coords[0] = op(coords[0], other)
+        return AlgebraicScalar(self.tower, tuple(coords))
 
     def __add__(self, other):
         return self._combine(other, operator.add)
@@ -258,7 +270,7 @@ class AlgebraicScalar:
     def _scaled(self, c):
         """Product with a rational c; the support, hence the tower, stays."""
         if not c:
-            return from_rational(0)
+            return _ZERO
         coords = tuple([c * x if x else x for x in self.coords])
         return AlgebraicScalar(self.tower, coords)
 
@@ -267,12 +279,6 @@ class AlgebraicScalar:
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
             return self._scaled(other)
-        if not other.tower.levels:
-            if not self.tower.levels:
-                return AlgebraicScalar(self.tower, (self.coords[0] * other.coords[0],))
-            return self._scaled(other.coords[0])
-        if not self.tower.levels:
-            return other._scaled(self.coords[0])
         a, b = (self, other) if self.tower == other.tower else self._pair(other)
         tower = a.tower
         return AlgebraicScalar.make(
@@ -282,40 +288,31 @@ class AlgebraicScalar:
     __rmul__ = __mul__
 
     def inverted(self):
-        if self.is_zero():
+        if not self:
             raise ZeroDivisionError("division by zero scalar")
         tower = self.tower
-        if tower.height == 0:
-            return from_rational(1 / self.coords[0])
         return AlgebraicScalar.make(
             tower, _inv_coords(tower.levels, tower.height, self.coords)
         )
 
     def __truediv__(self, other):
-        if type(other) is not AlgebraicScalar:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = from_rational(other)
-        if other.tower.levels:
+        if type(other) is AlgebraicScalar:
             return self * other.inverted()
-        c = other.coords[0]
-        if not c:
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
             raise ZeroDivisionError("division by zero scalar")
-        if not self.tower.levels:
-            return AlgebraicScalar(self.tower, (self.coords[0] / c,))
-        return self._scaled(1 / c)
+        return self._scaled(_ONE / other)
 
     def __rtruediv__(self, other):
-        return from_rational(other) / self
+        return self.inverted() * other
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
         if k < 0:
             return self.inverted() ** (-k)
-        if self.tower.height == 0:
-            return from_rational(self.coords[0] ** k)
-        result = from_rational(1)
+        result = _ONE
         base = self
         while k:
             if k & 1:
@@ -323,10 +320,6 @@ class AlgebraicScalar:
             base = base * base if k > 1 else base
             k >>= 1
         return result
-
-
-def from_rational(q):
-    return AlgebraicScalar(QQ, (q if type(q) is Fraction else Fraction(q),))
 
 
 def _mul_coords(levels, h, a, b):
@@ -346,8 +339,7 @@ def _mul_coords(levels, h, a, b):
                 for j, y in enumerate(b):
                     if y:
                         acc[i + j] += x * y
-        r = rad.coords[0]
-        return [u + r * v if v else u for u, v in zip(acc, acc[n:])]
+        return [u + rad * v if v else u for u, v in zip(acc, acc[n:])]
     w = len(a) // n
     bblocks = [(j, b[j * w:(j + 1) * w]) for j in range(n)]
     bblocks = [(j, y) for j, y in bblocks if any(y)]
@@ -367,11 +359,10 @@ def _mul_coords(levels, h, a, b):
 
 
 def _times(levels, h, s, v):
-    """The scalar s, kept over a prefix of the first h levels, times the
-    coordinate vector v over them."""
-    if len(s.coords) == 1:
-        c = s.coords[0]
-        return [c * x if x else x for x in v]
+    """The rational or scalar s, kept over a prefix of the first h levels,
+    times the coordinate vector v over them."""
+    if not isinstance(s, AlgebraicScalar):
+        return [s * x if x else x for x in v]
     return _mul_coords(levels, h, s.coords + (_ZERO,) * (len(v) - len(s.coords)), v)
 
 
@@ -421,16 +412,16 @@ def _root_in_tower(tower, n, r):
     """An n-th root of r among rational multiples of basis monomials, or
     None.  Never extends the tower.  Whether r = c*m**n with c rational is
     read off the coordinates of m**n, without dividing."""
-    if r.is_rational():
-        root = rational_nth_root(r.as_fraction(), n)
+    if not isinstance(r, AlgebraicScalar):
+        root = rational_nth_root(r, n)
         if root is not None:
-            return from_rational(root)
-    target = r.promoted(tower).coords
+            return root
+    target = _coords_over(r, tower)
     for idx in range(1, tower.degree):
         coords = [_ZERO] * tower.degree
         coords[idx] = _ONE
         mono = AlgebraicScalar.make(tower, coords)
-        power = (mono ** n).promoted(tower).coords
+        power = _coords_over(mono ** n, tower)
         lead = next((k for k, p in enumerate(power) if p), None)
         if lead is None:
             continue
@@ -450,7 +441,7 @@ def adjoin_root(tower, n, radicand):
     exponents are split so that only genuinely new radicals are adjoined.
     """
     r = tower.embed(radicand)
-    if r.is_zero():
+    if not r:
         raise ValueError("cannot adjoin a root of zero")
     if n == 1:
         return tower, r
@@ -464,10 +455,10 @@ def adjoin_root(tower, n, radicand):
     if n % 4 == 0:
         # x**n - r factors rationally when r == -4*c**4; the root c*(1+i)
         # keeps the degree down once i is adjoined.
-        quarter = _root_in_tower(tower, 4, from_rational(-1) * r / 4)
-        if quarter is not None and not quarter.is_zero():
+        quarter = _root_in_tower(tower, 4, -r / 4)
+        if quarter:
             tower2, i_unit = adjoin_root(tower, 2, -1)
-            rho = quarter.promoted(tower2) * (i_unit + 1)
+            rho = quarter * (i_unit + 1)
             if n == 4:
                 return tower2, rho
             return adjoin_root(tower2, n // 4, rho)
@@ -491,9 +482,11 @@ def _principal_root(v, n):
     return mpmath.root(mpmath.mpc(v), n)
 
 
-def _numeric(scalar, gens):
+def _numeric(value, gens):
+    if not isinstance(value, AlgebraicScalar):
+        return mpmath.mpf(value.numerator) / value.denominator
     total = mpmath.mpf(0)
-    for exps, c in scalar.iter_terms():
+    for exps, c in value.iter_terms():
         term = mpmath.mpf(c.numerator) / c.denominator
         for g, e in zip(gens, exps):
             if e:
@@ -531,10 +524,8 @@ def approximate(scalar, digits):
     A complex value prints as "<re>+<im>*i" (or with "-"), dropping the
     imaginary half when it truncates to zero.
     """
-    if isinstance(scalar, (int, Fraction)):
+    if not isinstance(scalar, AlgebraicScalar):
         return _truncate_decimal(Fraction(scalar), digits)
-    if scalar.is_rational():
-        return _truncate_decimal(scalar.as_fraction(), digits)
     prev = None
     prec = 120
     while prec <= 1 << 18:
@@ -610,21 +601,32 @@ def format_scalar(scalar):
     return signed_sum(parts)
 
 
+def _written_over(value, tower):
+    """A rational or a scalar written over a tower it lives in, for
+    printing: a rational stays a Fraction only over Q."""
+    if not tower.levels:
+        return value
+    return AlgebraicScalar(tower, _coords_over(value, tower))
+
+
 def scalar_payload(scalar, digits=8):
-    """JSON-ready description: tower steps, coordinates, decimal string.
+    """JSON-ready description of a rational or a scalar: tower steps,
+    coordinates, decimal string.  A rational has no tower steps and one
+    coordinate.
 
     Each tower step serializes its radicand recursively, as a payload
-    over the tower below it."""
+    over the whole tower below it."""
+    tower = tower_of(scalar)
     return {
         "tower": [
             {
                 "index": n,
                 "radicand": scalar_payload(
-                    rad.promoted(scalar.tower.prefix(i)), digits
+                    _written_over(rad, tower.prefix(i)), digits
                 ),
             }
-            for i, (n, rad) in enumerate(scalar.tower.levels)
+            for i, (n, rad) in enumerate(tower.levels)
         ],
-        "coeffs": [str(c) for c in scalar.coords],
+        "coeffs": [str(c) for c in _coords_over(scalar, tower)],
         "approx": approximate(scalar, digits),
     }

@@ -43,7 +43,7 @@ from .newton import (
     uni_make,
     uni_yun,
 )
-from .scalars import QQ, adjoin_root, from_rational, rational_nth_root
+from .scalars import QQ, adjoin_root, rational_nth_root, tower_of
 
 # -- splitting off the nondegenerate quadratic part ------------------
 
@@ -77,7 +77,7 @@ class SplitResult:
 
 def _quadratic_matrix(f):
     n = len(f.vars)
-    m = [[from_rational(0)] * n for _ in range(n)]
+    m = [[Fraction(0)] * n for _ in range(n)]
     for exps, c in f.terms.items():
         if sum(exps) != 2:
             continue
@@ -98,7 +98,7 @@ def _diagonalize(matrix):
     old variable i; nonzero diagonal entries occupy a prefix."""
     n = len(matrix)
     a = [row[:] for row in matrix]
-    p = [[from_rational(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    p = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
     def col_axpy(dst, src, t):
         for i in range(n):
@@ -117,10 +117,8 @@ def _diagonalize(matrix):
 
     rank = 0
     for k in range(n):
-        if a[k][k].is_zero():
-            pivot = next(
-                (j for j in range(k + 1, n) if not a[j][j].is_zero()), None
-            )
+        if not a[k][k]:
+            pivot = next((j for j in range(k + 1, n) if a[j][j]), None)
             if pivot is not None:
                 col_swap(k, pivot)
             else:
@@ -129,7 +127,7 @@ def _diagonalize(matrix):
                         (i, j)
                         for i in range(k, n)
                         for j in range(i + 1, n)
-                        if not a[i][j].is_zero()
+                        if a[i][j]
                     ),
                     None,
                 )
@@ -140,7 +138,7 @@ def _diagonalize(matrix):
                 if i != k:
                     col_swap(k, i)
         for j in range(k + 1, n):
-            if not a[k][j].is_zero():
+            if a[k][j]:
                 col_axpy(j, k, a[k][j] / a[k][k])
         rank += 1
     diagonal = [a[i][i] for i in range(n)]
@@ -165,7 +163,7 @@ def _morse_split(g, diagonal, rank, names, bound, phi=None):
     vars = g.vars
     images = {v: SparsePoly.variable(names, w) for v, w in zip(vars[rank:], names)}
     grads = [diff(g, i) for i in range(rank)]
-    steps = [from_rational(1) / (2 * d) for d in diagonal[:rank]]
+    steps = [1 / (2 * d) for d in diagonal[:rank]]
     if phi is None:
         phi = [SparsePoly.zero(names)] * rank
     trunc = ((1,) * len(names), bound // 2)
@@ -257,10 +255,9 @@ def apply_linear(f, rows, bound=None):
     for i, name in enumerate(vars):
         img = SparsePoly.zero(vars)
         for j, c in enumerate(rows[i]):
-            coeff = c if hasattr(c, "is_zero") else from_rational(c)
-            if not coeff.is_zero():
+            if c:
                 img = img + SparsePoly.monomial(
-                    vars, tuple(1 if k == j else 0 for k in range(n)), coeff
+                    vars, tuple(1 if k == j else 0 for k in range(n)), c
                 )
         images[name] = img
     trunc = ((1,) * n, bound) if bound is not None else None
@@ -275,7 +272,7 @@ def _binary_form_factors(jet, d):
     covering the y factor and every degree one squarefree block, while
     `blocks` keeps unsplit higher degree blocks as (coeffs, mult).
     """
-    u = [from_rational(0)] * (d + 1)
+    u = [Fraction(0)] * (d + 1)
     for (i, _), c in jet.terms.items():
         u[i] = c
     u = uni_make(u)
@@ -283,11 +280,11 @@ def _binary_form_factors(jet, d):
     linears = []
     blocks = []
     if ypower:
-        linears.append(((from_rational(0), from_rational(1)), ypower))
+        linears.append(((Fraction(0), Fraction(1)), ypower))
     for block, mult in uni_yun(u):
         if len(block) == 2:
             root = -block[0] / block[1]
-            linears.append(((from_rational(1), -root), mult))
+            linears.append(((Fraction(1), -root), mult))
         else:
             blocks.append((block, mult))
     return linears, blocks
@@ -300,11 +297,12 @@ def _lines_of(jet, linears, blocks, m):
     for block, mult in blocks:
         if mult != m:
             continue
+        tower = tower_of(*jet.terms.values())
         if len(block) == 3:
-            _, roots = quadratic_roots(_tower_of(jet), block[2], block[1], block[0])
+            _, roots = quadratic_roots(tower, block[2], block[1], block[0])
         else:
-            roots = [cubic_root(_tower_of(jet), block)[1]]
-        yield from ((from_rational(1), -r) for r in roots)
+            roots = [cubic_root(tower, block)[1]]
+        yield from ((Fraction(1), -r) for r in roots)
 
 
 def _pair_to_axes(l1, l2):
@@ -312,17 +310,9 @@ def _pair_to_axes(l1, l2):
     p1, q1 = l1
     p2, q2 = l2
     det = p1 * q2 - q1 * p2
-    if det.is_zero():
+    if not det:
         raise PipelineError("dependent linear factors cannot frame axes")
     return [[q2 / det, -q1 / det], [-p2 / det, p1 / det]]
-
-
-def _tower_of(f):
-    tower = QQ
-    for c in f.terms.values():
-        if c.tower.height > tower.height:
-            tower = c.tower
-    return tower
 
 
 # a lowest jet by (degree, multiplicities of its linear factors): its
@@ -364,11 +354,11 @@ def straighten_jet(g, d, bound):
     lx = next(lines[mx]) if mx else None
     ly = next(lines[my]) if my else None
     p, q = lx or ly
-    zero, one = from_rational(0), from_rational(1)
+    zero, one = Fraction(0), Fraction(1)
     if lx is None:
-        lx = (zero, 1 / p) if not p.is_zero() else (-1 / q, zero)
+        lx = (zero, 1 / p) if p else (-1 / q, zero)
     if ly is None:
-        ly = (zero, 1 / p) if not p.is_zero() else (one, zero)
+        ly = (zero, 1 / p) if p else (one, zero)
     rows = _pair_to_axes(lx, ly)
     if middle is not None:
         # fold in the shear of the variable `middle` by c times the other
@@ -391,7 +381,7 @@ def _middle_coefficient(jet, d, var_index):
         return e if var_index == 0 else e[::-1]
 
     a0 = jet.coeff(at((2, d - 2)))
-    if a0.is_zero():
+    if not a0:
         raise PipelineError("expected a nonzero square coefficient")
     return jet.coeff(at((1, d - 1))) / (2 * a0)
 
@@ -606,7 +596,7 @@ def shear(f, v1, v2, truncation):
     tw, cut = truncation
     ((wx, wy),) = as_weights(tw)
     polys = (f, v1, v2)
-    rational = all(c.is_rational() for p in polys for c in p.terms.values())
+    rational = all(tower_of(*p.terms.values()) is QQ for p in polys)
     if rational:
         (F, scale), (V1, q1), (V2, q2) = (
             _integers(p.terms) if p.terms else ({}, Fraction(1)) for p in polys
@@ -656,7 +646,7 @@ def shear(f, v1, v2, truncation):
         _add_products(out, _by_weight(entries, wx, wy), power(a, b), cut)
     if rational:
         scale = scale / (d1**big_a * d2**big_b)
-        out = {e: from_rational(c * scale) for e, c in out.items() if c}
+        out = {e: c * scale for e, c in out.items() if c}
         return SparsePoly(f.vars, out)
     return SparsePoly(f.vars, {e: c for e, c in out.items() if c})
 
@@ -726,7 +716,7 @@ class _ColumnTable:
         self.tw = (wx, wy)
         terms = f0.terms
         scale = 1
-        self.rational = all(c.is_rational() for c in terms.values())
+        self.rational = tower_of(*terms.values()) is QQ
         if self.rational:
             terms, scale = _integers(terms)
         # each partial as (truncation weight, code, coefficient) by rising
@@ -847,7 +837,7 @@ class _ColumnTable:
         self._rewind(j)
         terms = layer.terms
         scale = 1
-        if self.rational and all(c.is_rational() for c in terms.values()):
+        if self.rational and tower_of(*terms.values()) is QQ:
             terms, q = _integers(terms)
             scale = 1 / q
         s = {_CODES.code(e): c for e, c in terms.items()}
@@ -929,10 +919,10 @@ def rescale_to_unit(f, unit_exps):
     values = []
     for e in unit_exps:
         c = f.coeff(e)
-        if c.is_zero():
+        if not c:
             raise PipelineError(f"monomial {e} vanished before rescaling")
         values.append(1 / c)
-    tower = _tower_of(f)
+    tower = tower_of(*f.terms.values())
     (a1, b1), (a2, b2) = unit_exps
     r1 = (a1, b1, values[0])
     r2 = (a2, b2, values[1])
@@ -989,23 +979,23 @@ def kill_face_middle(f, exps3, exps2, exps1, sub_power, bound):
     c2 = f.coeff(exps2)
     c1 = f.coeff(exps1)
     c0 = f.coeff((2 * exps1[0] - exps2[0], 2 * exps1[1] - exps2[1]))
-    _, roots = quadratic_roots(_tower_of(f), 3 * c3, 2 * c2, c1)
+    _, roots = quadratic_roots(tower_of(*f.terms.values()), 3 * c3, 2 * c2, c1)
 
     def rank(r):
         end = ((c3 * r + c2) * r + c1) * r + c0
-        if end.is_zero():
+        if not end:
             raise PipelineError("face cofactor has a repeated root")
         cube = (3 * c3 * r + c2) ** 3 / (c3 * c3 * end)
-        if not cube.is_rational():
+        if tower_of(cube) is not QQ:
             return 2
-        return 0 if rational_nth_root(cube.as_fraction(), 3) is not None else 1
+        return 0 if rational_nth_root(cube, 3) is not None else 1
 
     shift = min(roots, key=rank)
-    if shift.is_zero():
+    if not shift:
         return f
     v1 = SparsePoly.monomial(f.vars, (0, sub_power), -shift)
     f2 = shear(f, v1, SparsePoly.zero(f.vars), ((1, 1), bound))
-    if not f2.coeff(exps1).is_zero():
+    if f2.coeff(exps1):
         raise PipelineError("face middle term survived the shift")
     return f2
 
@@ -1036,7 +1026,7 @@ def even_quartic_form(g, bound):
     the exact check I^3 * J(a)^2 == J^2 * I(a)^3 against the jet.
     """
     jet = wlayer(g, (1, 1), 4)
-    if jet.coeff((4, 0)).is_zero():
+    if not jet.coeff((4, 0)):
         jet, _ = expose_end(jet, jet, 1, (1, 0), bound)
     coeffs = [jet.coeff((k, 4 - k)) for k in range(5)]
     c0, c1, c2, c3, _ = [c / coeffs[4] for c in coeffs]
@@ -1044,18 +1034,18 @@ def even_quartic_form(g, bound):
     p = c2 - 6 * s ** 2
     q = c1 - 2 * c2 * s + 8 * s ** 3
     r = c0 - c1 * s + c2 * s ** 2 - 3 * s ** 4
-    tower = _tower_of(jet)
-    z = from_rational(0)
-    if not q.is_zero():
+    tower = tower_of(*jet.terms.values())
+    z = Fraction(0)
+    if q:
         tower, z = cubic_root(tower, [-(q * q), p * p - 4 * r, 2 * p, 1])
     dets = 16 * r - 4 * p * z - 3 * z * z
-    if dets.is_zero():
+    if not dets:
         raise PipelineError("quartic pairing has a square factor")
     tower, root = adjoin_root(tower, 2, dets)
     a = 2 * (2 * p + 3 * z) / root
     i, j = _quartic_invariants(coeffs)
     ia, ja = _quartic_invariants([1, 0, a, 0, 1])
-    if not (i ** 3 * ja ** 2 - j ** 2 * ia ** 3).is_zero():
+    if i ** 3 * ja ** 2 - j ** 2 * ia ** 3:
         raise PipelineError("quartic modulus failed its invariant check")
     return SparsePoly.build(g.vars, {(4, 0): 1, (2, 2): a, (0, 4): 1})
 
@@ -1075,11 +1065,8 @@ def expose_end(g, jet, var_index, exps, bound):
     zero = SparsePoly.zero(g.vars)
     for k in range(1, top + 3):
         for lam in (k, -k):
-            value = sum(
-                (c * lam ** e[var_index] for e, c in jet.terms.items()),
-                from_rational(0),
-            )
-            if not value.is_zero():
+            value = sum(c * lam ** e[var_index] for e, c in jet.terms.items())
+            if value:
                 step = SparsePoly.monomial(g.vars, exps, -lam)
                 v1, v2 = (step, zero) if var_index == 0 else (zero, step)
                 return shear(g, v1, v2, ((1, 1), bound)), lam
@@ -1184,9 +1171,9 @@ def normalize_double_core(f, mu):
     c40 = jet.coeff((4, 0))
     c23 = jet.coeff((2, 3))
     c06 = jet.coeff((0, 6))
-    if c40.is_zero() or c06.is_zero() or c23 * c23 != 4 * c40 * c06:
+    if not c40 or not c06 or c23 * c23 != 4 * c40 * c06:
         raise PipelineError("principal part is not a perfect square")
-    tower = _tower_of(jet)
+    tower = tower_of(*jet.terms.values())
     tower, a = adjoin_root(tower, 4, 1 / c40)
     tower, b = adjoin_root(tower, 6, 1 / c06)
     if c23 * a * a * b ** 3 == -2:
@@ -1209,7 +1196,7 @@ def normalize_double_core(f, mu):
     m0 = _axis_monomial(12 + d)
     l, r = _divide_core(wlayer(f, _CORE_WEIGHT, 12 + d))
     a0 = r.coeff(m0)
-    if a0.is_zero():
+    if not a0:
         raise PipelineError("leading modulus vanished against the invariants")
     if mu % 2 == 1:
         # for odd mu the reported position x^2 y^h is itself a core
@@ -1221,7 +1208,7 @@ def normalize_double_core(f, mu):
     m1 = _axis_monomial(13 + d)
     l, r = _divide_core(wlayer(f, _CORE_WEIGHT, 13 + d))
     e = r.coeff(m1)
-    if not e.is_zero():
+    if e:
         sign = 1 if mu % 2 == 1 else -1
         c = e * Fraction(sign, mu - 3) / a0
         images = _flow_images(vars, c, mu + 4)

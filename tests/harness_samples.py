@@ -23,6 +23,7 @@ from pathlib import Path
 
 from arnoldnf import cli
 from arnoldnf.poly import poly_str, substitute
+from arnoldnf.scalars import QQ, tower_of
 from arnoldnf.transform import apply_linear, split_germ
 
 
@@ -80,7 +81,7 @@ def strings_golden_lines(seed=1):
     string of each harness germ with rational coefficients."""
     lines = []
     for _, f in harness_germs(seed):
-        if not all(c.is_rational() for c in f.terms.values()):
+        if tower_of(*f.terms.values()) is not QQ:
             continue
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

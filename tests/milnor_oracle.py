@@ -12,7 +12,7 @@ from fractions import Fraction
 def _poly_to_frac_terms(f):
     out = {}
     for exps, c in f.terms.items():
-        out[exps] = c.as_fraction()
+        out[exps] = Fraction(c)
     return out
 
 

@@ -23,7 +23,9 @@ def params_of(result):
 
 
 def rational_params(result):
-    return {name: value.as_fraction() for name, value in result.parameters}
+    values = dict(result.parameters)
+    assert all(type(v) is Fraction for v in values.values())
+    return values
 
 
 # -- input validation ------------------------------------------------
@@ -120,28 +122,28 @@ def test_e12_modulus_is_a_seventh_root():
     p = a
     for _ in range(6):
         p = p * a
-    assert p.as_fraction() == Fraction(1, 32)
+    assert type(p) is Fraction and p == Fraction(1, 32)
     assert approximate(a, 5) == "0.60950"
 
 
 def test_e12_zero_modulus():
     r = classify(P("x^3 + y^7 + x*y^6"))
     assert r.name == "E_12"
-    assert params_of(r)["a"].is_zero()
+    assert params_of(r)["a"] == 0
 
 
 def test_e13_zero_modulus():
     r = classify(P("x^3 + x*y^5"))
     assert r.name == "E_13"
     assert r.mu == 13
-    assert params_of(r)["a"].is_zero()
+    assert params_of(r)["a"] == 0
 
 
 def test_z11_with_spectator_tail():
     r = classify(P("x^3*y + y^5 + x^5"))
     assert r.name == "Z_11"
     assert r.mu == 11
-    assert params_of(r)["a"].is_zero()
+    assert params_of(r)["a"] == 0
 
 
 def test_j10_modulus_lands_in_a_radical_tower():
@@ -154,7 +156,7 @@ def test_j10_modulus_lands_in_a_radical_tower():
         "g1 = (-8)^(1/2)",
         "g2 = (-7/3-2/3*g1)^(1/6)",
     ]
-    assert not (4 * a * a * a + 27).is_zero()
+    assert 4 * a * a * a + 27 != 0
 
 
 def test_j_series_corner_with_rational_modulus():
@@ -256,7 +258,7 @@ def test_j10_face_shift_with_equally_spaced_roots():
     assert "shifted x by 1 along the face" in r.trace
     a = params_of(r)["a"]
     assert a ** 3 == Fraction(-27, 2)
-    assert (2 * a ** 3 / 27 + 1).is_zero()
+    assert 2 * a ** 3 / 27 + 1 == 0
 
 
 # -- bimodal families ------------------------------------------------
@@ -295,7 +297,7 @@ def test_z10_moduli():
     assert r.mu == 15
     values = params_of(r)
     assert format_scalar(values["d"]) == "1/2*g1*g2^3*g3^2"
-    assert values["c"].is_zero()
+    assert values["c"] == 0
 
 
 def test_w10_rational_moduli():
@@ -465,7 +467,7 @@ def _x9_modulus(g):
     assert name == "a"
     i, j = _quartic_invariants([g.coeff((4 - k, k)) for k in range(5)])
     ia, ja = 12 + a * a, a * (72 - 2 * a * a)
-    assert (i ** 3 * ja ** 2 - j ** 2 * ia ** 3).is_zero()
+    assert i ** 3 * ja ** 2 - j ** 2 * ia ** 3 == 0
     return a
 
 
@@ -515,7 +517,7 @@ def test_x9_modulus_pinned_for_even_jets_with_unit_ends():
 def test_x9_modulus_when_both_ends_vanish():
     # the x^4 end is exposed by a shear before the jet is read
     a = _x9_modulus(P("x^3*y+x*y^3"))
-    assert (a * (72 - 2 * a * a)).is_zero()
+    assert a * (72 - 2 * a * a) == 0
 
 
 def test_x9_modulus_of_an_even_jet_with_other_ends():

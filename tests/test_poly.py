@@ -4,7 +4,6 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from arnoldnf import poly
 from arnoldnf.cli import main
 from arnoldnf.errors import ParseError
 from arnoldnf.poly import (
@@ -18,7 +17,7 @@ from arnoldnf.poly import (
     wjet,
     wlayer,
 )
-from arnoldnf.scalars import QQ, adjoin_root
+from arnoldnf.scalars import QQ, adjoin_root, tower_of
 from harness_samples import harness_germs
 
 
@@ -141,7 +140,7 @@ def _expression(draw, depth=4):
 @given(_expression())
 def test_parse_arithmetic_matches_sympy_expand(expression):
     text, _ = expression
-    got = {e: c.as_fraction() for e, c in P(text).terms.items()}
+    got = dict(P(text).terms)
     x, y = sympy.symbols("x y")
     expanded = sympy.expand(sympy.sympify(text.replace("^", "**")))
     want = {
@@ -154,7 +153,7 @@ def test_parse_arithmetic_matches_sympy_expand(expression):
 def test_printed_harness_germs_parse_back():
     count = 0
     for key, f in harness_germs():
-        if all(c.is_rational() for c in f.terms.values()):
+        if tower_of(*f.terms.values()) is QQ:
             assert parse_poly(poly_str(f), f.vars) == f, key
             count += 1
     assert count == 162
@@ -163,7 +162,7 @@ def test_printed_harness_germs_parse_back():
 def test_parse_makes_one_scalar_per_term(monkeypatch):
     # the 26-term Z_1,0 tangent image of the benchmark's seed-1 one-face
     # corpus: the parser evaluates on rational terms, so it runs no
-    # polynomial arithmetic and wraps each coefficient once
+    # polynomial arithmetic and each coefficient comes out a Fraction
     text = (
         "x^3*y+4*x^3*y^2-x^2*y^3+2*x^2*y^4-16*x^3*y^4+8*x^2*y^5+x*y^6+y^7"
         "-16*x^3*y^5-16*x^2*y^6-10*x*y^7-14*y^8-16*x^2*y^7+36*x*y^8+84*y^9"
@@ -183,11 +182,10 @@ def test_parse_makes_one_scalar_per_term(monkeypatch):
         monkeypatch.setattr(
             SparsePoly, name, counting(name, getattr(SparsePoly, name))
         )
-    monkeypatch.setattr(poly, "from_rational", counting("from_rational", poly.from_rational))
     f = parse_poly(text)
     assert len(f.terms) == 26
-    assert calls.count("from_rational") <= 26
-    assert [c for c in calls if c != "from_rational"] == []
+    assert all(type(c) is Fraction for c in f.terms.values())
+    assert calls == []
 
 
 @pytest.mark.parametrize(

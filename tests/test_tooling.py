@@ -17,13 +17,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from arnoldnf import localalg, transform
 from arnoldnf.catalog import instantiate
 from arnoldnf.classify import classify
 from arnoldnf.poly import parse_poly, poly_order, substitute
-from arnoldnf.scalars import from_rational
 from arnoldnf.transform import split_germ
 from harness_samples import (
     GOLDEN,
@@ -209,7 +209,7 @@ def test_identity_linear_change_runs_no_substitution(monkeypatch):
         return substituted(*args, **kwargs)
 
     monkeypatch.setattr(transform, "substitute", counting_substitute)
-    one, zero = from_rational(1), from_rational(0)
+    one, zero = Fraction(1), Fraction(0)
     for key, g in germs:
         for rows in (((1, 0), (0, 1)), ((one, zero), (zero, one))):
             want = substituted(g, {}, truncation=((1, 1), 9))

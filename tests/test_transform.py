@@ -41,7 +41,7 @@ from arnoldnf.scalars import (
     AlgebraicScalar,
     adjoin_root,
     approximate,
-    from_rational,
+    tower_of,
 )
 from arnoldnf.transform import (
     _CODES,
@@ -299,8 +299,8 @@ def test_straighten_three_lines_radical_root():
     assert kind == "three-lines"
     jet = wlayer(g2, (1, 1), 3)
     assert set(jet.terms) == {(2, 1), (0, 3)}
-    assert not jet.coeff((2, 1)).is_zero()
-    assert not jet.coeff((0, 3)).is_zero()
+    assert jet.coeff((2, 1))
+    assert jet.coeff((0, 3))
 
 
 def test_straighten_fourth_power():
@@ -547,13 +547,13 @@ def test_shear_matches_substitute(f, v1, v2, truncation):
 
 
 def test_shear_over_a_radical_tower():
-    _, r = adjoin_root(QQ, 2, from_rational(2))
+    _, r = adjoin_root(QQ, 2, Fraction(2))
     f = P("x^3+x*y^4") + B({(0, 5): r, (2, 2): 1 + r})
     v1 = B({(0, 2): r, (1, 1): Fraction(1, 3)})
     v2 = B({(2, 0): 1 - r})
     truncation = ((1, 1), 9)
     got = shear(f, v1, v2, truncation)
-    assert not all(c.is_rational() for c in got.terms.values())
+    assert tower_of(*got.terms.values()) is not QQ
     assert got == _substituted(f, v1, v2, truncation)
 
 
@@ -564,7 +564,7 @@ def test_shear_without_parts_returns_f():
     assert shear(f, zero, zero, ((1, 1), 6)) is f
 
 
-_SQRT2 = adjoin_root(QQ, 2, from_rational(2))[1]
+_SQRT2 = adjoin_root(QQ, 2, Fraction(2))[1]
 _RATIONALS = st.sampled_from(
     [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]
 )
@@ -580,7 +580,7 @@ def _drawn_poly(draw, exps, min_size, max_size):
     )
     if draw(st.booleans()):
         terms = {
-            e: from_rational(c) + draw(_RATIONALS) * _SQRT2
+            e: Fraction(c) + draw(_RATIONALS) * _SQRT2
             for e, c in terms.items()
         }
     return B(terms)
@@ -649,7 +649,7 @@ def test_absorb_above_cross_level_residue():
     # so the absorbed tail shifts the lower modulus position
     f = P("x^3+x^2*y^3+y^10+2*y^11") + B({(3, 1): Fraction(9, 10)})
     f2 = absorb_above(f, J_CORNER_WEIGHTS, 180, [(0, 11)], 19)
-    assert f2.coeff((3, 1)).is_zero()
+    assert not f2.coeff((3, 1))
     assert f2.coeff((0, 11)) == 4
     assert (wlayer(f2, J_CORNER_WEIGHTS, 180) - P("x^3+x^2*y^3+y^10")).is_zero()
 
@@ -657,7 +657,7 @@ def test_absorb_above_cross_level_residue():
 def test_absorb_above_ideal_member_vanishes():
     f = P("x^3+x^2*y^3+y^10+2*y^11+5*y^12")
     f2 = absorb_above(f, J_CORNER_WEIGHTS, 180, [(0, 11)], 19)
-    assert f2.coeff((0, 12)).is_zero()
+    assert not f2.coeff((0, 12))
     assert f2.coeff((0, 11)) == 2
 
 
@@ -681,7 +681,7 @@ def _eager_layer_shear(layer, candidates, weights, level, j, allowed):
     """Reference elimination: every safe column is formed and reduced
     on every layer before the layer itself is reduced."""
     vars = layer.vars
-    zero = from_rational(0)
+    zero = Fraction(0)
     pivots = {}
     for e in sorted(allowed):
         pivots[e] = (SparsePoly.monomial(vars, e, 1), {})
@@ -701,7 +701,7 @@ def _eager_layer_shear(layer, candidates, weights, level, j, allowed):
 
     for _, var_index, u, prod in candidates:
         if _eager_column_safe(var_index, u, j, weights, level, allowed):
-            reduce_column(prod, {(var_index, u): from_rational(1)})
+            reduce_column(prod, {(var_index, u): Fraction(1)})
     s = layer
     combo = {}
     while not s.is_zero():
@@ -714,7 +714,7 @@ def _eager_layer_shear(layer, candidates, weights, level, j, allowed):
     v1 = SparsePoly.zero(vars)
     v2 = SparsePoly.zero(vars)
     for (var_index, u), value in sorted(combo.items()):
-        if value.is_zero():
+        if not value:
             continue
         mono = SparsePoly.monomial(vars, u, value)
         if var_index == 0:
@@ -1040,10 +1040,8 @@ def test_tower_column_table_matches_eager_elimination(monkeypatch, key, indices)
     assert r.name == display_name(key, indices)
     assert len(calls) == 1
     args, result, shears = calls[0]
-    assert not all(c.is_rational() for c in args[0].terms.values())
-    assert not all(
-        c.is_rational() for c in wlayer(args[0], args[1], args[2]).terms.values()
-    )
+    assert tower_of(*args[0].terms.values()) is not QQ
+    assert tower_of(*wlayer(args[0], args[1], args[2]).terms.values()) is not QQ
     want, want_shears = _eager_absorb_above(*args)
     assert shears and shears == want_shears
     assert result == want
@@ -1102,9 +1100,9 @@ def test_kill_face_middle_rational_shift():
 def test_kill_face_middle_radical_shift():
     f = P("x^3+x^2*y^2+x*y^4+y^6")
     f2 = kill_face_middle(f, (3, 0), (2, 2), (1, 4), 2, 12)
-    assert f2.coeff((1, 4)).is_zero()
+    assert not f2.coeff((1, 4))
     assert f2.coeff((3, 0)) == 1
-    assert not f2.coeff((0, 6)).is_zero()
+    assert f2.coeff((0, 6))
 
 
 def test_kill_face_middle_no_op():
@@ -1143,7 +1141,7 @@ def test_kill_face_middle_ignores_a_face_shift(
     g = substitute(P(text), {"x": image}, truncation=((1, 1), bound))
     r = classify(g)
     assert r.name == name
-    assert {n: v.as_fraction() for n, v in r.parameters} == moduli
+    assert dict(r.parameters) == moduli
 
 
 # -- even quartic reduction ------------------------------------------
@@ -1178,7 +1176,7 @@ def test_even_quartic_missing_ends():
     f2 = even_quartic_form(f, 11)
     a = _x9_normal_form_modulus(f2)
     # the roots 0, oo, i, -i are harmonic, so J(a) = a*(72 - 2*a^2) = 0
-    assert (a * (72 - 2 * a * a)).is_zero()
+    assert a * (72 - 2 * a * a) == 0
     assert milnor_number(f2) == 9
 
 
@@ -1208,7 +1206,7 @@ def test_double_core_even_index():
     a0, a1 = normalize_double_core(f, 16)
     assert _core_index_and_positions(16) == (1, [(1, 5), (1, 6)])
     assert a0 == 1
-    assert a1.is_zero()
+    assert not a1
 
 
 def test_double_core_odd_index():
