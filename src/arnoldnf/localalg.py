@@ -35,10 +35,11 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter
 
 from .errors import PipelineError
+from .newton import uni_integers
 from .poly import SparsePoly, as_weights, diff, poly_order, weight_value, wjet, wlayer
 from .scalars import QQ, tower_of
 
@@ -90,10 +91,8 @@ def mono_mul(f, exps, coeff):
 def _integers(terms):
     """(coprime integers, q) for nonzero Fraction coefficients: each
     coefficient is q times its integer."""
-    scale = lcm(*(q.denominator for q in terms.values()))
-    ints = {e: q.numerator * (scale // q.denominator) for e, q in terms.items()}
-    g = gcd(*ints.values())
-    return {e: c // g for e, c in ints.items()}, Fraction(g, scale)
+    ints, q = uni_integers(terms.values())
+    return dict(zip(terms, ints)), q
 
 
 def _encoded(terms, order):

@@ -9,7 +9,10 @@ the face is degenerate and, if so, which repeated factor to straighten.
 
 Univariate polynomials over a radical tower are handled here as
 ascending coefficient lists, a rational coefficient a Fraction and any
-other an `AlgebraicScalar`; `uni_make` turns ints into Fractions.
+other an `AlgebraicScalar`; `uni_make` turns ints into Fractions.  A
+rational list is factored as one primitive integer list, dividing only
+by primitive gcds, so every quotient is integral by Gauss's lemma; a
+list over a tower keeps the field kernels `uni_gcd` and `uni_divmod`.
 """
 
 from __future__ import annotations
@@ -26,13 +29,16 @@ _ZERO = Fraction(0)
 # -- univariate polynomials over a tower -----------------------------
 
 
+def _trim(f):
+    while f and not f[-1]:
+        f.pop()
+    return f
+
+
 def uni_make(coeffs):
     """The list without its zero top coefficients, each int made a
     Fraction."""
-    out = [Fraction(c) if type(c) is int else c for c in coeffs]
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return _trim([Fraction(c) if type(c) is int else c for c in coeffs])
 
 
 def uni_degree(f):
@@ -40,7 +46,7 @@ def uni_degree(f):
 
 
 def uni_diff(f):
-    return uni_make([c * k for k, c in enumerate(f)][1:])
+    return _trim([c * k for k, c in enumerate(f)][1:])
 
 
 def uni_eval(f, value):
@@ -51,40 +57,28 @@ def uni_eval(f, value):
 
 
 def uni_sub(f, g):
-    n = max(len(f), len(g))
-    out = []
-    for k in range(n):
-        a = f[k] if k < len(f) else _ZERO
-        b = g[k] if k < len(g) else _ZERO
-        out.append(a - b)
-    return uni_make(out)
+    out = list(f) + [0] * (len(g) - len(f))
+    for k, c in enumerate(g):
+        out[k] = out[k] - c
+    return _trim(out)
 
 
 def uni_monic(f):
-    if not f:
+    if not f or f[-1] == 1:
         return f
-    lead = f[-1]
-    if lead == 1:
-        return f
-    return [c / lead for c in f]
+    return [c / f[-1] for c in f]
 
 
 def uni_divmod(f, g):
     if not g:
         raise ZeroDivisionError("univariate division by zero")
-    rem = list(f)
-    quot = [_ZERO] * max(len(f) - len(g) + 1, 0)
-    while len(rem) >= len(g) and rem:
-        if not rem[-1]:
-            rem.pop()
-            continue
-        shift = len(rem) - len(g)
-        factor = rem[-1] / g[-1]
-        quot[shift] = factor
-        for k in range(len(g)):
+    rem, n, inverse = list(f), len(g) - 1, 1 / g[-1]
+    quot = [_ZERO] * max(len(f) - n, 0)
+    for shift in reversed(range(len(quot))):
+        factor = quot[shift] = rem[shift + n] * inverse
+        for k in range(n):
             rem[shift + k] = rem[shift + k] - factor * g[k]
-        rem.pop()
-    return uni_make(quot), uni_make(rem)
+    return uni_make(quot), uni_make(rem[:n])
 
 
 def uni_gcd(f, g):
@@ -95,31 +89,96 @@ def uni_gcd(f, g):
     return uni_monic(a)
 
 
+def uni_integers(f):
+    """(u, q) for a rational list f: u the primitive integer list, with
+    positive content q, such that f = q * u."""
+    scale = math.lcm(*(c.denominator for c in f))
+    ints = [c.numerator * (scale // c.denominator) for c in f]
+    g = math.gcd(*ints) or 1
+    return [c // g for c in ints], Fraction(g, scale)
+
+
+def uni_prs_gcd(f, g):
+    """The gcd of two rational lists as a primitive integer list with a
+    positive leading coefficient ([] for two zeros), by the primitive
+    remainder sequence (Collins 1967; Brown and Traub 1971): each
+    pseudo-remainder is cut to its primitive part before the next."""
+    a, b = uni_integers(f)[0], uni_integers(g)[0]
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        scale = b[-1] ** (len(a) - len(b) + 1)
+        a, b = b, uni_integers(_integer_divmod([c * scale for c in a], b)[1])[0]
+    return a if not a or a[-1] > 0 else [-c for c in a]
+
+
+def _integer_divmod(f, g):
+    """(q, r) with f = q*g + r for integer lists whose division is
+    exact over Z at every step: g primitive and dividing f over Q, by
+    Gauss's lemma, or f a pseudo-dividend of g."""
+    rem, n = list(f), len(g) - 1
+    quot = [0] * max(len(f) - n, 0)
+    for shift in reversed(range(len(quot))):
+        q, r = divmod(rem[shift + n], g[-1])
+        if r:
+            raise PipelineError("an integer division is not exact")
+        quot[shift] = q
+        for k in range(n):
+            rem[shift + k] -= q * g[k]
+    return quot, _trim(rem[:n])
+
+
+def _pure_power(u):
+    """[(t + s, m)] when the integer list u of degree m is c*(t + s)^m,
+    s = u[m-1] / (m*u[m]), checked on each u[k] = c*C(m, k)*s^(m-k)."""
+    m = len(u) - 1
+    s = Fraction(u[m - 1], m * u[m])
+    p, q = s.numerator, s.denominator
+    for k in range(m - 1):
+        if u[k] * q ** (m - k) != u[m] * math.comb(m, k) * p ** (m - k):
+            return None
+    return [([s, Fraction(1)], m)]
+
+
 def uni_squarefree(f):
+    f = uni_make(f)
+    if tower_of(*f) is QQ:
+        return uni_degree(uni_prs_gcd(f, uni_diff(f))) <= 0
     return uni_degree(uni_gcd(f, uni_diff(f))) <= 0
 
 
 def uni_yun(f):
-    """Squarefree decomposition: list of (monic block, multiplicity),
-    multiplicities increasing, product of block**mult recovering f up to
-    a constant."""
-    f = uni_monic(uni_make(f))
+    """Squarefree decomposition (Yun 1976): list of (monic block,
+    multiplicity), multiplicities increasing, product of block**mult
+    recovering f up to a constant.
+
+    A rational list runs as its primitive integer list: a pure power is
+    read off in closed form, any other runs the Yun loop on integers,
+    exact since every divisor is a primitive gcd (Gauss's lemma).  A
+    list over a tower runs monic on the field kernels."""
+    f = uni_make(f)
     if uni_degree(f) <= 0:
         return []
+    if tower_of(*f) is not QQ:
+        return _yun(uni_monic(f), uni_gcd, uni_divmod)
+    u = uni_integers(f)[0]
+    return _pure_power(u) or _yun(u, uni_prs_gcd, _integer_divmod)
+
+
+def _yun(f, gcd, divide):
+    """The Yun loop on f of positive degree, on a gcd and a division."""
     fp = uni_diff(f)
-    a = uni_gcd(f, fp)
-    b, _ = uni_divmod(f, a)
-    c, _ = uni_divmod(fp, a)
-    d = uni_sub(c, uni_diff(b))
+    a = gcd(f, fp)
+    b = divide(f, a)[0]
+    d = uni_sub(divide(fp, a)[0], uni_diff(b))
     out = []
     i = 1
     while uni_degree(b) > 0:
-        p = uni_gcd(b, d)
+        p = gcd(b, d)
         if uni_degree(p) > 0:
-            out.append((p, i))
-        b, _ = uni_divmod(b, p)
-        c, _ = uni_divmod(d, p)
-        d = uni_sub(c, uni_diff(b))
+            out.append((uni_monic(uni_make(p)), i))
+        b = divide(b, p)[0]
+        d = uni_sub(divide(d, p)[0], uni_diff(b))
         i += 1
     return out
 
@@ -173,8 +232,7 @@ def rational_roots(coeffs):
         raise ValueError("rational root search needs rational coefficients")
     if len(coeffs) <= 1:
         return []
-    den = math.lcm(*[c.denominator for c in coeffs])
-    ints = [int(c * den) for c in coeffs]
+    ints = uni_integers(coeffs)[0]
     n, lead = len(ints) - 1, ints[-1]
     q = [c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
     ys = {y for k in _root_floors(q) for y in (k, k + 1) if not _sign_at(q, y)}

@@ -270,7 +270,10 @@ def _binary_form_factors(jet, d):
 
     Returns (linears, blocks): `linears` lists ((p, q), multiplicity)
     covering the y factor and every degree one squarefree block, while
-    `blocks` keeps unsplit higher degree blocks as (coeffs, mult).
+    `blocks` keeps unsplit higher degree blocks as (coeffs, mult).  A
+    rational form is factored as one primitive integer list, whose
+    quotients by primitive gcds are exact by Gauss's lemma, a tower form
+    on field kernels; blocks come back monic, multiplicities rising.
     """
     u = [Fraction(0)] * (d + 1)
     for (i, _), c in jet.terms.items():

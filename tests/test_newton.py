@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
+from arnoldnf import newton
 from arnoldnf.newton import (
     cubic_root,
     face_compose,
@@ -26,7 +28,7 @@ from arnoldnf.newton import (
     uni_yun,
 )
 from arnoldnf.poly import SparsePoly, parse_poly
-from arnoldnf.scalars import QQ
+from arnoldnf.scalars import QQ, adjoin_root
 
 
 T = sp.Symbol("t")
@@ -65,6 +67,115 @@ def test_uni_yun():
     assert uni_of(rebuilt) == uni_make([-1, -1, 1, 1])
     assert uni_squarefree(uni_make([-1, 0, 1]))
     assert not uni_squarefree(uni_make([1, 2, 1]))
+
+
+def uni_mul(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = out[i + j] + a * b
+    return uni_make(out)
+
+
+def field_yun(f):
+    """The Yun loop on the field kernels, whatever the coefficients."""
+    return newton._yun(uni_monic(uni_make(f)), uni_gcd, uni_divmod)
+
+
+def sympy_sqf(f):
+    """sympy's squarefree decomposition as (monic block, multiplicity)."""
+    _, factors = sp.sqf_list(sympy_of(f), T)
+    return sorted(((uni_monic(uni_of(b)), m) for b, m in factors), key=lambda p: p[1])
+
+
+_SMALL = st.integers(-6, 6)
+_LEAD = _SMALL.filter(bool)
+_FACTOR = st.one_of(
+    st.tuples(_SMALL, _LEAD).map(list),
+    st.tuples(_SMALL, _SMALL, _LEAD).map(list),
+)
+_CONTENT = st.fractions(-9, 9, max_denominator=12).filter(bool)
+
+
+@st.composite
+def _products(draw):
+    """c * (product of integer linear and quadratic factors raised to
+    powers 1-4), x^k factors among them when a constant term is 0."""
+    f = [1]
+    powers = st.lists(st.tuples(_FACTOR, st.integers(1, 4)), min_size=1, max_size=3)
+    for factor, power in draw(powers):
+        for _ in range(power):
+            f = uni_mul(f, factor)
+    content = draw(_CONTENT)
+    return [content * c for c in f]
+
+
+@st.composite
+def _near_pure_powers(draw):
+    """c * (t - r)^m with one coefficient below the top moved, which the
+    closed-form pure power test must refuse."""
+    r = draw(st.fractions(-5, 5, max_denominator=6))
+    m = draw(st.integers(2, 6))
+    f = [Fraction(1)]
+    for _ in range(m):
+        f = uni_mul(f, [-r, 1])
+    k = draw(st.integers(0, m - 2))
+    f[k] += draw(st.fractions(-3, 3, max_denominator=4).filter(bool))
+    content = draw(_CONTENT)
+    return [content * c for c in f]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.one_of(_products(), _near_pure_powers()))
+def test_integer_yun_matches_sympy_and_the_field_loop(f):
+    f = uni_make(f)
+    want = sympy_sqf(f)
+    got = uni_yun(f)
+    assert got == want
+    assert got == field_yun(f)
+    assert uni_squarefree(f) == all(m == 1 for _, m in want)
+
+
+def test_pure_power_in_closed_form():
+    r = Fraction(-7, 3)
+    f = [Fraction(5, 2)]
+    for _ in range(5):
+        f = uni_mul(f, [-r, 1])
+    assert uni_yun(f) == [([-r, 1], 5)]
+    assert uni_yun(uni_make([0, 0, 0, 4])) == [(uni_make([0, 1]), 3)]
+    f[2] += 1
+    assert newton._pure_power(newton.uni_integers(f)[0]) is None
+    assert uni_yun(f) == sympy_sqf(f)
+
+
+def test_prs_gcd_is_primitive():
+    f = [c * 6 for c in uni_mul(uni_mul([1, 2], [1, 2]), [-3, 0, 5])]
+    g = [c * 4 for c in uni_mul([1, 2], [7, 1])]
+    assert newton.uni_prs_gcd(f, g) == [1, 2]
+    assert newton.uni_prs_gcd(f, []) == uni_mul(uni_mul([1, 2], [1, 2]), [-3, 0, 5])
+    assert newton.uni_prs_gcd([], []) == []
+    assert newton.uni_integers(uni_make([Fraction(-3, 4), Fraction(3, 2)])) == (
+        [-1, 2],
+        Fraction(3, 4),
+    )
+
+
+def test_yun_over_radical_towers():
+    # the field kernels still run for lists over a tower
+    _, s = adjoin_root(QQ, 2, Fraction(2))
+    line = [-s, Fraction(1)]
+    f = uni_mul(uni_mul(line, line), [1, 1])
+    assert uni_yun(f) == [(uni_make([1, 1]), 1), (line, 2)]
+    assert not uni_squarefree(f)
+    assert uni_squarefree(uni_mul(line, [s, 1]))
+    _, c = adjoin_root(QQ, 3, Fraction(2))
+    line = [-c, Fraction(1)]
+    rest = [c * c, c, Fraction(1)]  # (t^3 - 2) / (t - c), no root in Q(c)
+    f = uni_mul(uni_mul(uni_mul(line, line), line), rest)
+    assert uni_yun(f) == [(rest, 1), (line, 3)]
+    assert uni_yun(uni_mul(f, rest)) == [(rest, 2), (line, 3)]
+    assert not uni_squarefree(f)
+    assert uni_squarefree(uni_mul(line, rest))
 
 
 def test_rational_roots():

@@ -6,8 +6,9 @@ when a traced run starts, so renaming or deleting one of them breaks
 loads the tracer by path and checks every name, then runs it once on a
 germ whose reduction works over a radical tower.  Later tests count
 the standard basis completions and substitutions behind the splitting
-of a germ, and the last two hold the seed-1 harness germs to their
-golden files, once as polynomials and once as printed strings.
+of a germ and the field divisions behind rational factoring, and the
+last two hold the seed-1 harness germs to their golden files, once as
+polynomials and once as printed strings.
 """
 
 import ast
@@ -20,10 +21,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from arnoldnf import localalg, transform
+from arnoldnf import localalg, newton, transform
 from arnoldnf.catalog import instantiate
 from arnoldnf.classify import classify
 from arnoldnf.poly import parse_poly, poly_order, substitute
+from arnoldnf.scalars import QQ, adjoin_root
 from arnoldnf.transform import split_germ
 from harness_samples import (
     GOLDEN,
@@ -219,6 +221,45 @@ def test_identity_linear_change_runs_no_substitution(monkeypatch):
     swapped = transform.apply_linear(parse_poly("x^3+y^5", ("x", "y")), ((0, 1), (1, 0)))
     assert calls == [1]
     assert swapped == parse_poly("y^3+x^5", ("x", "y"))
+
+
+def test_rational_factoring_runs_no_field_division(monkeypatch):
+    # every lowest jet and face polynomial of the seed-1 harness germs is
+    # rational, and a rational list factors on integers: the field loop
+    # of uni_gcd / uni_divmod never runs for them
+    calls = []
+    divmod_ = newton.uni_divmod
+
+    def counting_divmod(f, g):
+        calls.append(1)
+        return divmod_(f, g)
+
+    monkeypatch.setattr(newton, "uni_divmod", counting_divmod)
+    for key, g in harness_germs():
+        classify(g)
+    jets = {
+        "x^3+y^4": "cube",
+        "x^2*y+y^4": "square-line",
+        "x^2*y-x*y^2+y^5": "three-lines",
+        "(x+2*y)^4+y^5": "fourth-power",
+        "x^3*y+y^5": "cube-line",
+        "(x^2-2*y^2)^2+x^5": "two-double-lines",
+        "x^4-x^2*y^2+y^5": "double-plus-two",
+        "x^4+y^4": "four-distinct",
+    }
+    kinds = {}
+    for text, kind in jets.items():
+        g = parse_poly(text, ("x", "y"))
+        kinds[text] = transform.straighten_jet(g, poly_order(g, (1, 1)), 12)[1]
+    assert kinds == jets
+    assert calls == []
+    # the irreducible double quadratic stays one unsplit block
+    jet = parse_poly("(x^2-2*y^2)^2", ("x", "y"))
+    assert transform._binary_form_factors(jet, 4) == ([], [([-2, 0, 1], 2)])
+    # the count sees the field loop when it does run, over a tower
+    _, root = adjoin_root(QQ, 2, Fraction(2))
+    newton.uni_yun([2, -2 * root, 1])
+    assert calls
 
 
 def test_harness_matches_golden_file():
