@@ -334,6 +334,11 @@ def run_harness(ns):
 # -- argument handling -----------------------------------------------
 
 
+# the most approximation digits a classification prints; far more would
+# pass the interpreter's limit on converting integers to decimal strings
+MAX_DIGITS = 1000
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -353,7 +358,10 @@ def _classify_parser():
         "--steps", action="store_true", help="include the reduction steps"
     )
     parser.add_argument(
-        "--digits", type=int, default=8, help="approximation digits (default 8)"
+        "--digits",
+        type=int,
+        default=8,
+        help=f"approximation digits, 1 to {MAX_DIGITS} (default 8)",
     )
     parser.add_argument(
         "--vars", help="comma separated variable names (default: from the input)"
@@ -433,6 +441,9 @@ def main(argv=None):
         return code
     if ns.digits < 1:
         print("classify: error: digits must be positive", file=sys.stderr)
+        return 1
+    if ns.digits > MAX_DIGITS:
+        print(f"classify: error: digits must be at most {MAX_DIGITS}", file=sys.stderr)
         return 1
     return run_classify(ns)
 

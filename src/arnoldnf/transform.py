@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, count
 from math import comb, gcd
 from operator import itemgetter
 
+from .catalog import double_core_family, moduli_positions
 from .errors import PipelineError
 from .localalg import (
     _BASE,
@@ -1081,55 +1082,11 @@ def expose_end(g, jet, var_index, exps, bound):
 _CORE_WEIGHT = ((3, 2),)
 
 
-def _core(vars):
-    return SparsePoly.build(vars, {(2, 0): 1, (0, 3): 1})
-
-
-def _divide_core(g):
-    """Write a (3,2) homogeneous g as l * (x^2 + y^3) + r with every
-    remainder term having x exponent at most one."""
-    vars = g.vars
-    l = SparsePoly.zero(vars)
-    work = g
-    while True:
-        cand = [e for e in work.terms if e[0] >= 2]
-        if not cand:
-            return l, work
-        e = max(cand)
-        c = work.coeff(e)
-        stem = (e[0] - 2, e[1])
-        l = l + SparsePoly.monomial(vars, stem, c)
-        work = work - SparsePoly.monomial(vars, stem, c) * _core(vars)
-
-
-def _axis_monomial(level):
-    """The unique monomial of (3,2) degree `level` with x exponent at
-    most one."""
-    if level % 2 == 0:
-        return (0, level // 2)
-    return (1, (level - 3) // 2)
-
-
-def _peel_core_multiple(f, l, bound):
-    """Shear away an l * core summand sitting in one graded layer."""
-    vars = f.vars
-    v1 = SparsePoly.zero(vars)
-    v2 = SparsePoly.zero(vars)
-    for e, c in l.terms.items():
-        if e[0] >= 1:
-            v1 = v1 + SparsePoly.monomial(
-                vars, (e[0] - 1, e[1]), c * Fraction(1, 4)
-            )
-        else:
-            v2 = v2 + SparsePoly.monomial(
-                vars, (e[0], e[1] - 2), c * Fraction(1, 6)
-            )
-    return shear(f, v1, v2, (_CORE_WEIGHT, bound))
-
-
-def _flow_images(vars, c, depth):
+def _flow_images(vars, c, bound):
     """Substitution images of the exponential of the derivation
-    x -> 3c y^2, y -> -2c x, which fixes x^2 + y^3 exactly."""
+    x -> 3c y^2, y -> -2c x, which fixes x^2 + y^3 exactly.  The
+    derivation raises the (3,2) degree by one, so the k-th term of each
+    image is homogeneous; terms are built up to degree `bound`."""
     gen_x = SparsePoly.monomial(vars, (0, 2), 3 * c)
     gen_y = SparsePoly.monomial(vars, (1, 0), -2 * c)
 
@@ -1138,10 +1095,9 @@ def _flow_images(vars, c, depth):
 
     out = {}
     for name in ("x", "y"):
-        acc = SparsePoly.variable(vars, name)
-        term = acc
-        for k in range(1, depth + 1):
-            term = delta(term) * Fraction(1, k)
+        acc = term = SparsePoly.variable(vars, name)
+        for k in count(1):
+            term = wjet(delta(term) * Fraction(1, k), _CORE_WEIGHT, bound)
             if term.is_zero():
                 break
             acc = acc + term
@@ -1152,24 +1108,30 @@ def _flow_images(vars, c, depth):
 def normalize_double_core(f, mu):
     """The moduli (a0, a1) of a germ whose principal part is a perfect
     square gamma * (alpha x^2 + beta y^3)^2 and whose Milnor number is
-    mu.
+    mu, the values at the positions m0, m2 that
+    `catalog.moduli_positions` gives for `double_core_family(mu)`.
 
     Rescales the square onto (x^2 + y^3)^2 through `apply_linear`: x
     by a fourth root of 1/alpha^2 gamma, then y by a sixth root of
     1/beta^2 gamma, negated when the cross term would land on -2.  The
     Euclid order of `rescale_to_unit` would adjoin other radicals and
-    change the tower layout of the moduli.  Then it walks the (3,2)
-    layers: multiples of the core are sheared away, the first monomial
-    that is no such multiple carries the leading modulus, a flow fixing
-    the core clears the following layer, and the one after that holds
-    the second modulus.  The values belong at the positions that
-    `catalog.moduli_positions` gives for `double_core_family(mu)`.
+    change the tower layout of the moduli.
+
+    Then `_absorb` walks the (3,2) layers above the principal level 12
+    up to the a1 level 14 + d, d = mu - 15.  The Jacobian ideal of the
+    core square is (x^2 + y^3) * (x, y^2), which misses one monomial per
+    layer, so the walk clears the layers below 12 + d (a term it cannot
+    reach there contradicts mu) and leaves residue on m0, on the axis
+    monomial m1 of layer 13 + d and on m2.  A nonzero residue e on m1 is
+    removed by the flow that fixes the core: to first order it adds
+    a0 * (mu - 3) * c * m1 to layer 13 + d modulo the core, so
+    c = -e / ((mu - 3) a0), and a second walk sends what the flow wrote
+    onto m2.
     """
     vars = f.vars
     d = mu - 15
     if d < 1:
         raise PipelineError("double core germ with out of range invariants")
-    bound = mu + 6
     jet = wlayer(f, _CORE_WEIGHT, 12)
     c40 = jet.coeff((4, 0))
     c23 = jet.coeff((2, 3))
@@ -1183,51 +1145,24 @@ def normalize_double_core(f, mu):
         b = -b
     if c23 * a * a * b ** 3 != 2:
         raise PipelineError("cross coefficient did not land on 2")
-    f = wjet(apply_linear(f, ((a, 0), (0, b))), _CORE_WEIGHT, bound)
-    core2 = _core(vars) ** 2
+    truncation = (_CORE_WEIGHT, 14 + d)
+    f = apply_linear(wjet(f, *truncation), ((a, 0), (0, b)))
+    core2 = SparsePoly.build(vars, {(4, 0): 1, (2, 3): 2, (0, 6): 1})
     if not (wlayer(f, _CORE_WEIGHT, 12) - core2).is_zero():
         raise PipelineError("core rescaling failed")
-
-    for level in range(13, 12 + d):
-        l, r = _divide_core(wlayer(f, _CORE_WEIGHT, level))
-        if not r.is_zero():
-            raise PipelineError(
-                "modulus appeared below the level fixed by the Milnor number"
-            )
-        if not l.is_zero():
-            f = _peel_core_multiple(f, l, bound)
-    m0 = _axis_monomial(12 + d)
-    l, r = _divide_core(wlayer(f, _CORE_WEIGHT, 12 + d))
-    a0 = r.coeff(m0)
+    m0, m2 = (e for _, e in moduli_positions(*double_core_family(mu)))
+    # the monomial of layer 13 + d with x exponent at most one
+    m1 = (0, (13 + d) // 2) if d % 2 else (1, (10 + d) // 2)
+    f = _absorb(f, _CORE_WEIGHT, 12, (m0, m1, m2), truncation)
+    a0 = f.coeff(m0)
     if not a0:
         raise PipelineError("leading modulus vanished against the invariants")
-    if mu % 2 == 1:
-        # for odd mu the reported position x^2 y^h is itself a core
-        # multiple plus remainder; leave that part in place so the peel
-        # does not disturb the next modulus
-        l = l + SparsePoly.monomial(vars, (0, (6 + d) // 2), a0)
-    if not l.is_zero():
-        f = _peel_core_multiple(f, l, bound)
-    m1 = _axis_monomial(13 + d)
-    l, r = _divide_core(wlayer(f, _CORE_WEIGHT, 13 + d))
-    e = r.coeff(m1)
+    e = f.coeff(m1)
     if e:
-        sign = 1 if mu % 2 == 1 else -1
-        c = e * Fraction(sign, mu - 3) / a0
-        images = _flow_images(vars, c, mu + 4)
-        f = core2 + substitute(
-            f - core2, images, truncation=(_CORE_WEIGHT, bound)
-        )
-        l, r = _divide_core(wlayer(f, _CORE_WEIGHT, 13 + d))
-        if not r.is_zero():
-            raise PipelineError("flow failed to clear the intermediate layer")
-    if not l.is_zero():
-        f = _peel_core_multiple(f, l, bound)
-    m2 = _axis_monomial(14 + d)
-    _, r = _divide_core(wlayer(f, _CORE_WEIGHT, 14 + d))
-    a1 = r.coeff(m2)
-    if mu % 2 == 0:
-        return a0, a1
-    # for odd mu the walk reads y^(h+3) and the catalog writes x^2*y^h,
-    # and x^2*y^h = -y^(h+3) modulo the core
-    return -a0, -a1
+        # what the flow moves starts at degree 12 + d, so an image term
+        # raising the degree by more than 2 lands past the bound 14 + d:
+        # x needs its terms up to degree 5, y up to 4
+        images = _flow_images(vars, -e / ((mu - 3) * a0), 5)
+        f = core2 + substitute(f - core2, images, truncation=truncation)
+        f = _absorb(f, _CORE_WEIGHT, 12, (m0, m2), truncation)
+    return a0, f.coeff(m2)

@@ -371,6 +371,28 @@ def test_double_core_negative_cross_term(key, indices, a0, a1):
     assert rational_params(r) == {"a0": a0, "a1": a1}
 
 
+@pytest.mark.parametrize("i", range(7, 25))
+@pytest.mark.parametrize(
+    "a0, a1", [(Fraction(3), Fraction(-1, 2)), (Fraction(-1, 2), Fraction(2))]
+)
+def test_double_core_round_trips_at_large_index(i, a0, a1):
+    # past the harness rows (i <= 6): an image cut at mu + 2, as the
+    # harness cuts it, and the mirror y -> -y give back the index and
+    # both moduli.  The walk undoes the x/2 of the y image only up to the
+    # flow that fixes the core, so that image runs the flow at every i
+    key = "W#_1,2q-1" if i % 2 else "W#_1,2q"
+    f = instantiate(key, (1, i), {"a0": a0, "a1": a1})
+    tangent = {"x": P("x+y^2-1/2*x*y"), "y": P("y+1/2*x+x^2")}
+    images = [
+        substitute(f, tangent, truncation=((1, 1), 17 + i)),
+        apply_linear(f, ((1, 0), (0, -1))),
+    ]
+    for g in images:
+        r = classify(g)
+        assert (r.key, r.indices, r.mu) == (key, (1, i), 15 + i)
+        assert rational_params(r) == {"a0": a0, "a1": a1}
+
+
 @pytest.mark.parametrize(
     "text, name, values, towers",
     [

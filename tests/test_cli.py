@@ -214,6 +214,28 @@ def test_bad_digits(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize("germ", ["x^3+x^2*y^2+x*y^5", "x^3+2*y^7+x*y^5"])
+def test_digits_past_the_maximum_are_a_usage_error(mode, germ, capsys):
+    # 4301 digits would pass the interpreter's limit on printing integers;
+    # a rational (J_12) and a radical (E_12) modulus, in both output modes,
+    # are refused before anything is classified or printed
+    for digits in (cli.MAX_DIGITS + 1, 4301):
+        code, out, err = run(mode + ["--digits", str(digits), germ], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"classify: error: digits must be at most {cli.MAX_DIGITS}\n"
+    code, out, err = run(mode + ["--digits", str(cli.MAX_DIGITS), germ], capsys)
+    assert code == 0
+    if mode:
+        (entry,) = json.loads(out)["parameters"]
+        approx = entry["approx"]
+    else:
+        approx = next(line for line in out.splitlines() if line.startswith("a = "))
+    assert len(approx.rsplit(".", 1)[1]) == cli.MAX_DIGITS
+    code, out, err = run(["-h"], capsys)
+    assert f"approximation digits, 1 to {cli.MAX_DIGITS}" in " ".join(out.split())
+
+
 def test_repeated_calls_build_one_parser(monkeypatch, capsys):
     # building the parser costs ten times what parsing does, so it is
     # built once and every call, usage errors included, reuses it

@@ -6,9 +6,10 @@ when a traced run starts, so renaming or deleting one of them breaks
 loads the tracer by path and checks every name, then runs it once on a
 germ whose reduction works over a radical tower.  Later tests count
 the standard basis completions and substitutions behind the splitting
-of a germ and the field divisions behind rational factoring, and the
-last two hold the seed-1 harness germs to their golden files, once as
-polynomials and once as printed strings.
+of a germ, the field divisions behind rational factoring and the layer
+walks behind a double core germ, and the last two hold the seed-1
+harness germs to their golden files, once as polynomials and once as
+printed strings.
 """
 
 import ast
@@ -260,6 +261,33 @@ def test_rational_factoring_runs_no_field_division(monkeypatch):
     _, root = adjoin_root(QQ, 2, Fraction(2))
     newton.uni_yun([2, -2 * root, 1])
     assert calls
+
+
+def test_double_core_walks_once_without_the_flow(monkeypatch):
+    # normalize_double_core reduces a W# germ in one `_absorb` pass, and
+    # in a second one only after the flow that fixes the core; of the
+    # seed-1 harness germs, each base germ and its tangent image need no
+    # flow, and each linear image (6 of 18) does
+    passes, flows = [], []
+    absorb, flow = transform._absorb, transform._flow_images
+
+    def counting_absorb(*args):
+        passes.append(1)
+        return absorb(*args)
+
+    def counting_flow(*args):
+        flows.append(1)
+        return flow(*args)
+
+    monkeypatch.setattr(transform, "_absorb", counting_absorb)
+    monkeypatch.setattr(transform, "_flow_images", counting_flow)
+    seen = []
+    for key, g in harness_germs(keys={"W#_1,2q-1", "W#_1,2q"}):
+        passes.clear()
+        flows.clear()
+        assert classify(g).key == key
+        seen.append((len(flows), len(passes)))
+    assert seen == [(0, 1), (1, 2), (0, 1)] * 6
 
 
 def test_harness_matches_golden_file():

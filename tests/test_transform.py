@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+import re
 import signal
 from fractions import Fraction
 
@@ -1210,9 +1211,11 @@ def test_double_core_even_index():
 
 
 def test_double_core_odd_index():
-    # y^7 = y^4*(x^2+y^3) - x^2*y^4, so the gauge peel y -> y - y^2/6
-    # converts the tail; its second order effect and the cross term on
-    # y^7 leave (1/6)*y^5*(x^2+y^3) + (1/12)*y^8 on the next layer
+    # y^7 = y^4*(x^2+y^3) - x^2*y^4: the walk clears the core multiple
+    # with y -> y - y^2/6 and leaves -1 on a0's x^2*y^4.  The shear's
+    # second order term and its effect on y^7 leave
+    # (1/6)*y^5*(x^2+y^3) + (1/12)*y^8 on the a1 layer, and
+    # y^8 = y^5*(x^2+y^3) - x^2*y^5 puts -1/12 on a1's x^2*y^5
     f = P("x^4+2*x^2*y^3+y^6+y^7+y^8")
     assert milnor_number(f) == 17
     a0, a1 = normalize_double_core(f, 17)
@@ -1266,3 +1269,18 @@ def test_double_core_rejects_non_square_jet():
     f = P("x^4+x^2*y^3+y^6+x*y^5")
     with pytest.raises(PipelineError):
         normalize_double_core(f, 16)
+
+
+@pytest.mark.parametrize(
+    "text, mu, message",
+    [
+        # x*y^5 sits on layer 13, below the a0 layer 14 that mu = 17
+        # fixes, and is no multiple of the core
+        ("x^4+2*x^2*y^3+y^6+x*y^5", 17, "tail term (1, 5) is out of reach"),
+        # mu = 16 puts a0 on x*y^5, which is empty; x*y^6 is a1's
+        ("x^4+2*x^2*y^3+y^6+x*y^6", 16, "leading modulus vanished"),
+    ],
+)
+def test_double_core_refuses_inconsistent_mu(text, mu, message):
+    with pytest.raises(PipelineError, match=re.escape(message)):
+        normalize_double_core(P(text), mu)
