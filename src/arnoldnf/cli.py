@@ -285,8 +285,7 @@ def run_harness(ns):
         values = _row_values(key, indices, rng)
         name = display_name(key, indices)
         f0 = _row_germ(key, indices, values)
-        base = classify(f0)
-        bound = base.mu + 2
+        bound = FAMILY[key].mu(*indices) + 2
         samples = []
         for i in range(ns.count):
             kind = "identity" if i == 0 else ("linear" if i % 2 else "tangent")

@@ -46,6 +46,7 @@ from .scalars import QQ, tower_of
 # the code base B: dicts enter with exponents below it and records keep
 # weighted degrees below B/2, so no shift of a record reaches B
 _BASE = 1 << 20
+_NO_LIMIT = _BASE * _BASE
 
 
 class LocalOrder:
@@ -73,16 +74,6 @@ class LocalOrder:
         w = -(-code // _BASE)
         a = w * _BASE - code
         return a, (w - self.weight[0] * a) // self.weight[1]
-
-
-def mono_mul(f, exps, coeff):
-    return SparsePoly(
-        f.vars,
-        {
-            tuple(a + b for a, b in zip(e, exps)): c * coeff
-            for e, c in f.terms.items()
-        },
-    )
 
 
 # -- the engine ------------------------------------------------------
@@ -150,7 +141,7 @@ def _capped(d, limit):
 def _mora(h, basis, order, cap=None):
     """Weak normal form of a coefficient dict against basis records; with
     a cap, terms of weighted degree above it are dropped after every step."""
-    limit = _BASE * _BASE if cap is None else cap * _BASE
+    limit = _NO_LIMIT if cap is None else cap * _BASE
     used = list(basis)
     while h:
         h = _strip(h)
@@ -190,7 +181,7 @@ def _basis(gens, order, cap=None):
     cut there and the rest runs at cap t + 1.  The cut is t + 1, not t,
     so that elements led in degree t + 1 survive.
     """
-    limit = _BASE * _BASE if cap is None else cap * _BASE
+    limit = _NO_LIMIT if cap is None else cap * _BASE
     G = [_reducer(_strip(d), order) for d in (_capped(d, limit) for d in gens) if d]
     pairs = deque((i, j) for i in range(len(G)) for j in range(i + 1, len(G)))
     tested = 0  # elements of G at the last corner test
@@ -261,14 +252,21 @@ def _staircase(les, cap):
 # -- public entry points ---------------------------------------------
 
 
+def _partial_terms(terms):
+    """(dx, dy, q), the partials of a two variable term dict read off
+    its terms: q times them are the true partials, on coprime integers
+    for rational input; tower input keeps its scalars, with q None."""
+    q = None
+    if tower_of(*terms.values()) is QQ:
+        terms, q = _integers(terms)
+    dx = {(a - 1, b): a * c for (a, b), c in terms.items() if a}
+    dy = {(a, b - 1): b * c for (a, b), c in terms.items() if b}
+    return dx, dy, q
+
+
 def _partials(f, order):
-    """Engine dicts of the nonzero partials, read off the terms of f."""
-    t = f.terms
-    if tower_of(*t.values()) is QQ:
-        t = _integers(t)[0]
-    dx = {(a - 1, b): a * c for (a, b), c in t.items() if a}
-    dy = {(a, b - 1): b * c for (a, b), c in t.items() if b}
-    return [_encoded(d, order) for d in (dx, dy) if d]
+    """Engine dicts of the nonzero partials of f."""
+    return [_encoded(d, order) for d in _partial_terms(f.terms)[:2] if d]
 
 
 def milnor_number(f, last_cap=None, with_top=False):
@@ -410,7 +408,7 @@ def layer_decompose(g, f0, weights, layer, extra_monomials):
         for u in _monomials_with_pdeg_at_most(weights, target):
             if sum(u) == 1 and u[var_index] == 1:
                 continue
-            prod = mono_mul(partial, u, 1)
+            prod = partial * SparsePoly.monomial(vars, u)
             if not wjet(prod, weights, layer - 1).is_zero():
                 continue
             col = wlayer(prod, weights, layer)

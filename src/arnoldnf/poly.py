@@ -14,10 +14,11 @@ vector gives the usual weighted grading and several vectors give the
 piecewise grading used along a Newton polygon.  A truncation
 (`mul_trunc`, `substitute`) cuts by a single vector.
 
-`parse_poly` reads a polynomial over Q from text.  Its parser evaluates
-on exact rational terms, dicts from exponent tuples to nonzero ints and
-Fractions kept in the order SparsePoly's own arithmetic would give, and
-builds one SparsePoly of Fractions at the end.
+Sums, products and powers run on the term-dict kernels `_terms_add`,
+`_terms_mul` and `_terms_pow`, which keep exponents in order of first
+appearance.  `parse_poly` reads a polynomial over Q from text: its
+parser runs the same kernels on ints and Fractions and builds one
+SparsePoly of Fractions at the end.
 """
 
 from __future__ import annotations
@@ -102,31 +103,14 @@ class SparsePoly:
             raise ValueError("polynomials use different variable lists")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, AlgebraicScalar)):
-            other = SparsePoly.constant(self.vars, other)
         self._check(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            acc = terms.get(exps)
-            total = c if acc is None else acc + c
-            if not total:
-                terms.pop(exps, None)
-            else:
-                terms[exps] = total
-        return SparsePoly(self.vars, terms)
-
-    __radd__ = __add__
+        return SparsePoly(self.vars, _terms_add(self.terms, [other.terms]))
 
     def __neg__(self):
         return SparsePoly(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, AlgebraicScalar)):
-            other = SparsePoly.constant(self.vars, other)
-        return self.__add__(-other)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
+        return self + -other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, AlgebraicScalar)):
@@ -136,28 +120,54 @@ class SparsePoly:
                 self.vars, {e: k * other for e, k in self.terms.items()}
             )
         self._check(other)
-        terms = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                acc = terms.get(e)
-                terms[e] = ca * cb if acc is None else acc + ca * cb
-        return SparsePoly(self.vars, {e: c for e, c in terms.items() if c})
+        return SparsePoly(self.vars, _terms_mul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, k):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers take nonnegative integers")
-        result = SparsePoly.constant(self.vars, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        one = {(0,) * len(self.vars): _ONE}
+        return SparsePoly(self.vars, _terms_pow(self.terms, k, one))
+
+
+# -- term-dict arithmetic --------------------------------------------
+
+
+def _terms_add(a, more):
+    """a plus the term dicts in `more`, exponents in order of first
+    appearance."""
+    out = dict(a)
+    for d in more:
+        for e, c in d.items():
+            held = out.get(e)
+            out[e] = c if held is None else held + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _terms_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            held = out.get(e)
+            out[e] = ca * cb if held is None else held + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _terms_pow(a, k, one):
+    """a^k by repeated squaring, `one` the unit dict."""
+    if len(a) == 1:  # (c*x^e)^k is c^k*x^(k*e), with no products
+        ((e, c),) = a.items()
+        return {tuple(k * x for x in e): c**k}
+    result = one
+    while k:
+        if k & 1:
+            result = _terms_mul(result, a)
+        k >>= 1
+        if k:
+            a = _terms_mul(a, a)
+    return result
 
 
 def diff(f, var):
@@ -280,17 +290,16 @@ def substitute(f, images, truncation=None):
             cache.append(mul(cache[-1], full[i]))
         return cache[k]
 
-    acc = {}
-    for exps, c in sorted(f.terms.items()):
-        piece = SparsePoly.constant(target_vars, c)
-        for i, e in enumerate(exps):
-            if e:
-                piece = mul(piece, power(i, e))
-        for e, v in piece.terms.items():
-            held = acc.get(e)
-            acc[e] = v if held is None else held + v
+    def pieces():
+        for exps, c in sorted(f.terms.items()):
+            piece = SparsePoly.constant(target_vars, c)
+            for i, e in enumerate(exps):
+                if e:
+                    piece = mul(piece, power(i, e))
+            yield piece.terms
+
     # every product is cut already, and a constant piece has weight 0
-    return SparsePoly(target_vars, {e: c for e, c in acc.items() if c})
+    return SparsePoly(target_vars, _terms_add({}, pieces()))
 
 
 # -- canonical term order and printing -------------------------------
@@ -354,36 +363,6 @@ def _variable_units(vars):
     return units
 
 
-def _terms_add(a, b, sign):
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + sign * c
-    return {e: c for e, c in out.items() if c}
-
-
-def _terms_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
-
-
-def _terms_pow(a, k, one):
-    if len(a) == 1:  # (c*x^e)^k is c^k*x^(k*e), with no products
-        ((e, c),) = a.items()
-        return {tuple(k * x for x in e): c**k}
-    result = one
-    while k:
-        if k & 1:
-            result = _terms_mul(result, a)
-        k >>= 1
-        if k:
-            a = _terms_mul(a, a)
-    return result
-
-
 class _Parser:
     def __init__(self, tokens, vars):
         self.tokens = tokens
@@ -408,8 +387,10 @@ class _Parser:
             kind, value, pos = self.peek()
             if kind == "op" and value in "+-":
                 self.take()
-                sign = -1 if value == "-" else 1
-                result = _terms_add(result, self.parse_term(), sign)
+                term = self.parse_term()
+                if value == "-":
+                    term = {e: -c for e, c in term.items()}
+                result = _terms_add(result, [term])
             else:
                 return result
 

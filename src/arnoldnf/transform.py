@@ -21,11 +21,12 @@ from operator import itemgetter
 from .catalog import double_core_family, moduli_positions
 from .errors import PipelineError
 from .localalg import (
-    _BASE,
+    _NO_LIMIT,
     LocalOrder,
     _combine,
     _integers,
     _multipliers,
+    _partial_terms,
     layer_decompose,
     milnor_number,
 )
@@ -658,7 +659,6 @@ def shear(f, v1, v2, truncation):
 # the codes of `localalg.LocalOrder` under the ordinary weight follow
 # term_sort_key: min() of a code dict is its lowest term
 _CODES = LocalOrder((1, 1))
-_NO_LIMIT = _BASE * _BASE
 
 
 def _combination(a, tags, den, b, base, base_den):
@@ -718,26 +718,17 @@ class _ColumnTable:
         ((wx, wy),) = as_weights(tw)
         self.cut = cut
         self.tw = (wx, wy)
-        terms = f0.terms
-        scale = 1
-        self.rational = tower_of(*terms.values()) is QQ
-        if self.rational:
-            terms, scale = _integers(terms)
+        dx, dy, scale = _partial_terms(f0.terms)
+        self.rational = scale is not None
         # each partial as (truncation weight, code, coefficient) by rising
         # weight
-        self.partials = []
-        for k in (0, 1):
-            d = {}
-            for e, c in terms.items():
-                if e[k]:
-                    p = (e[0] - (k == 0), e[1] - (k == 1))
-                    d[p] = e[k] * c
-            self.partials.append(
-                [(w, _CODES.code(e), c) for w, e, c in _by_weight(d, wx, wy)]
-            )
+        self.partials = [
+            [(w, _CODES.code(e), c) for w, e, c in _by_weight(d, wx, wy)]
+            for d in (dx, dy)
+        ]
         # a column formed from these partials is column_scale times the
         # true one
-        self.column_scale = 1 / Fraction(scale)
+        self.column_scale = 1 / Fraction(scale or 1)
         self.columns = _plan_columns(self.partials, weights, level, truncation)
         self.floors = {}
         # pivots map a code to (dict, combination, denominator)

@@ -22,9 +22,10 @@ import random
 from pathlib import Path
 
 from arnoldnf import cli
+from arnoldnf.catalog import FAMILY
 from arnoldnf.poly import poly_str, substitute
 from arnoldnf.scalars import QQ, tower_of
-from arnoldnf.transform import apply_linear, split_germ
+from arnoldnf.transform import apply_linear
 
 
 def harness_germs(seed=1, keys=None):
@@ -34,7 +35,7 @@ def harness_germs(seed=1, keys=None):
     for key, indices in cli._harness_rows():
         values = cli._row_values(key, indices, rng)
         f0 = cli._row_germ(key, indices, values)
-        bound = split_germ(f0).mu + 2
+        bound = FAMILY[key].mu(*indices) + 2
         linear = cli._linear_rows(rng)
         tangent = cli._tangent_images(rng)
         if keys is not None and key not in keys:

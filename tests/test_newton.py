@@ -220,6 +220,23 @@ def test_cubic_root_radical():
     assert r ** 3 == Fraction(2, 3)
 
 
+def test_cubic_root_degenerate_branches():
+    # over Q(sqrt 2), where no rational root is looked for
+    tower, r2 = adjoin_root(QQ, 2, Fraction(2))
+    # (z - sqrt 2)^3: p = q = 0, the root is minus the shift
+    assert cubic_root(tower, [-2 * r2, 6, -3 * r2, 1]) == (tower, r2)
+    # (z - sqrt 2)^2 (z + 2 sqrt 2) = z^3 - 6z + 4 sqrt 2: zero radicand
+    cubic = uni_make([4 * r2, -6, 0, 1])
+    got, root = cubic_root(tower, cubic)
+    assert got == tower and not uni_eval(cubic, root)
+    # z^3 -+ sqrt 2: a cube root of sqrt 2 adds a level, to degree 6; for
+    # z^3 + sqrt 2 the first choice of u^3 is zero and the other is taken
+    for sign in (1, -1):
+        got, root = cubic_root(tower, [-sign * r2, 0, 0, 1])
+        assert (got.height, got.degree) == (2, 6)
+        assert root**3 == sign * r2
+
+
 def test_polygon_two_faces():
     f = P("x^4-2*x^3*y+x^2*y^2+y^5")
     poly = newton_polygon(f)

@@ -1,3 +1,5 @@
+import ast
+import operator
 from fractions import Fraction
 
 import pytest
@@ -148,6 +150,38 @@ def test_parse_arithmetic_matches_sympy_expand(expression):
         for e, c in sympy.Poly(expanded, x, y).as_dict().items()
     }
     assert got == want, text
+
+
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+
+
+def _evaluate(node, vars):
+    """An `_expression` tree, as Python's own parser reads its text,
+    evaluated through SparsePoly's operators."""
+    if isinstance(node, ast.Name):
+        return SparsePoly.variable(vars, node.id)
+    if isinstance(node, ast.Constant):
+        return SparsePoly.constant(vars, node.value)
+    if isinstance(node, ast.UnaryOp):
+        return -_evaluate(node.operand, vars)
+    left = _evaluate(node.left, vars)
+    if isinstance(node.op, ast.Pow):
+        return left ** node.right.value
+    if isinstance(node.op, ast.Div):
+        # "p/q" is one rational, which Python reads as "(... * p) / q"
+        return left * Fraction(1, node.right.value)
+    return _OPERATORS[type(node.op)](left, _evaluate(node.right, vars))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_expression())
+def test_operators_match_the_parser_term_for_term(expression):
+    # SparsePoly's +, -, unary -, * and ** run the parser's kernels: the
+    # same terms, inserted in the same order
+    text, _ = expression
+    tree = ast.parse(text.replace("^", "**"), mode="eval").body
+    got = _evaluate(tree, ("x", "y"))
+    assert list(got.terms.items()) == list(P(text).terms.items()), text
 
 
 def test_printed_harness_germs_parse_back():

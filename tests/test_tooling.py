@@ -6,15 +6,17 @@ when a traced run starts, so renaming or deleting one of them breaks
 loads the tracer by path and checks every name, then runs it once on a
 germ whose reduction works over a radical tower.  Later tests count
 the standard basis completions and substitutions behind the splitting
-of a germ, the field divisions behind rational factoring and the layer
-walks behind a double core germ, and the last two hold the seed-1
-harness germs to their golden files, once as polynomials and once as
-printed strings.
+of a germ, the field divisions behind rational factoring, the layer
+walks behind a double core germ and the classifications of one harness
+run, and the last two hold the seed-1 harness germs to their golden
+files, once as polynomials and once as printed strings.
 """
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -22,7 +24,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from arnoldnf import localalg, newton, transform
+from arnoldnf import cli, localalg, newton, transform
 from arnoldnf.catalog import instantiate
 from arnoldnf.classify import classify
 from arnoldnf.poly import parse_poly, poly_order, substitute
@@ -290,12 +292,29 @@ def test_double_core_walks_once_without_the_flow(monkeypatch):
     assert seen == [(0, 1), (1, 2), (0, 1)] * 6
 
 
+def test_harness_classifies_each_sample_once(monkeypatch):
+    # the harness reads each row's Milnor number off the catalog, so a
+    # seed-1 run with three samples per row classifies 162 germs, once each
+    calls = []
+
+    def counting_classify(f):
+        calls.append(1)
+        return classify(f)
+
+    monkeypatch.setattr(cli, "classify", counting_classify)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        cli.main(["harness", "--seed", "1", "--count", "3"])
+    assert json.loads(out.getvalue())["totals"]["samples"] == 162
+    assert len(calls) == 162
+
+
 def test_harness_matches_golden_file():
     # a refactor keeps the harness report and every classification it
     # makes byte for byte; see `harness_samples` before rewriting the file
     want = GOLDEN.read_text().splitlines(keepends=True)
     got = harness_golden_lines()
-    assert len(got) == len(want) == 217
+    assert len(got) == len(want) == 163
     for i, (line, golden) in enumerate(zip(got, want)):
         assert line == golden, f"line {i + 1} of {GOLDEN.name}"
 

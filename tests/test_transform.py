@@ -23,7 +23,6 @@ from arnoldnf.localalg import (
     _monomials_with_pdeg_at_most,
     layer_decompose,
     milnor_number,
-    mono_mul,
 )
 from arnoldnf.poly import (
     SparsePoly,
@@ -112,6 +111,38 @@ def test_split_quadratic_part_without_diagonal():
     res = split_germ(f)
     assert (res.corank, res.rank, res.mu) == (1, 2, 2)
     assert classify(f).name == "A_2"
+
+
+@pytest.mark.parametrize(
+    "text, name",
+    [
+        ("x*y", "A_1"),
+        ("x*z+y^3", "A_2"),
+        ("x*z+y^4+z^5", "A_3"),
+        ("2*x*z-y*z+y^4+x^7", "A_3"),
+        ("x*y+z*w+v^5", "A_4"),
+    ],
+)
+def test_hyperbolic_quadratic_parts(text, name):
+    # every diagonal entry of the first pivot's block is zero, so the
+    # diagonalization adds one column to another, and for x*y+z*w+v^5
+    # (variables v, w, x, y, z) it then swaps that column into place
+    f = parse_poly(text)
+    m = transform_module._quadratic_matrix(f)
+    change, diagonal, rank = transform_module._diagonalize(m)
+    n = len(m)
+    congruent = [
+        [
+            sum(change[a][i] * m[a][b] * change[b][j] for a in range(n) for b in range(n))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    assert congruent == [[diagonal[i] * (i == j) for j in range(n)] for i in range(n)]
+    assert all(diagonal[:rank]) and not any(diagonal[rank:])
+    r = classify(f)
+    assert r.name == name
+    assert rank == n - r.corank
 
 
 def test_split_five_variables():
@@ -696,7 +727,7 @@ def _eager_layer_shear(layer, candidates, weights, level, j, allowed):
                 return
             base, base_combo = entry
             c = col.coeff(e) / base.coeff(e)
-            col = col - mono_mul(base, (0, 0), c)
+            col = col - base * c
             for tag, value in base_combo.items():
                 combo[tag] = combo.get(tag, zero) - c * value
 
@@ -709,7 +740,7 @@ def _eager_layer_shear(layer, candidates, weights, level, j, allowed):
         e = min(s.terms, key=term_sort_key)
         base, base_combo = pivots[e]
         c = s.coeff(e) / base.coeff(e)
-        s = s - mono_mul(base, (0, 0), c)
+        s = s - base * c
         for tag, value in base_combo.items():
             combo[tag] = combo.get(tag, zero) + c * value
     v1 = SparsePoly.zero(vars)
@@ -741,7 +772,8 @@ def _eager_absorb_above(f, weights, level, allowed, bound):
         if partials[var_index].is_zero():
             continue
         for u in _monomials_with_pdeg_at_most(ordinary, cut):
-            prod = wjet(mono_mul(partials[var_index], u, 1), ordinary, cut)
+            prod = partials[var_index] * SparsePoly.monomial(f.vars, u)
+            prod = wjet(prod, ordinary, cut)
             if prod.is_zero() or poly_order(prod, weights) <= level:
                 continue
             low = term_sort_key(min(prod.terms, key=term_sort_key))
