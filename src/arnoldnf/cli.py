@@ -6,6 +6,12 @@ family name, the normal form, the exact moduli with decimal
 approximations, and the Milnor number; with --json the same data goes
 out as one machine-readable line.  The exit status tells the outcomes
 apart (see `main`).
+
+The decimals are truncated toward zero and proven by integer interval
+enclosures of the tower values (`scalars.approximate`), with one
+exception: a real or imaginary part that equals a nonzero decimal of
+the printed length but is not known exactly prints that decimal once
+its enclosure has been refined past a top precision.
 """
 
 import argparse

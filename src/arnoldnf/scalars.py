@@ -26,14 +26,22 @@ a basis monomial m, which is read off the coordinates of m**n.  It does
 not prove irreducibility of what it adjoins; a defective step would
 surface later as a non-invertible nonzero element, reported as
 `PipelineError`.
+
+Decimals come from integer enclosures, not floating point: each
+generator, level by level, and then the value are enclosed in rectangles
+with dyadic corners, rounded outward, at a scale that doubles until the
+truncated digits are fixed (`approximate`).  They are proven, except for
+a component that sits exactly on a cut point of the truncation without
+being known exactly; past a top scale that component prints the cut
+point.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import operator
 from fractions import Fraction
-
-import mpmath
 
 from .errors import PipelineError
 
@@ -41,18 +49,24 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def integer_nth_root(a, n):
-    """Exact n-th root of a nonnegative integer, or None."""
-    if a < 0:
-        return None
-    if a in (0, 1):
-        return a
+def _floor_root(a, n):
+    """floor(a ** (1/n)) of a nonnegative integer, by Newton's method
+    from a power of two above it."""
+    if a < 2 or n == 2:
+        return math.isqrt(a)
     x = 1 << -(-a.bit_length() // n)
     while True:
         y = ((n - 1) * x + a // x ** (n - 1)) // n
         if y >= x:
-            break
+            return x
         x = y
+
+
+def integer_nth_root(a, n):
+    """Exact n-th root of a nonnegative integer, or None."""
+    if a < 0:
+        return None
+    x = _floor_root(a, n)
     return x if x ** n == a else None
 
 
@@ -466,87 +480,289 @@ def adjoin_root(tower, n, radicand):
     return new_tower, new_tower.generator(new_tower.height - 1)
 
 
-# -- numeric embedding ----------------------------------------------
+# -- decimals on integer enclosures ----------------------------------
+#
+# An enclosure at scale 2**k is a tuple (x, y, rx, ry) of ints: the value
+# lies in the rectangle |re - x/2**k| <= rx/2**k, |im - y/2**k| <= ry/2**k.
+# Every operation rounds outward, and a component known exactly keeps
+# radius 0, so the exact zero real part of (-1)**(1/2) stays exact.
 
 
-def _principal_root(v, n):
-    if isinstance(v, mpmath.mpc):
-        if v.imag == 0:
-            v = v.real
-        else:
-            return mpmath.root(v, n)
-    if v >= 0:
-        return mpmath.root(v, n)
-    if n % 2 == 1:
-        return -mpmath.root(-v, n)
-    return mpmath.root(mpmath.mpc(v), n)
+def _ceil_root(a, n):
+    """ceil(a ** (1/n)) of a nonnegative integer."""
+    r = _floor_root(a, n)
+    return r if r ** n == a else r + 1
 
 
-def _numeric(value, gens):
+def _rounded(v, err, k):
+    """Center and radius at scale 2**k of v +- err given at scale 2**(2k)."""
+    c = v >> k
+    return c, -(-err >> k) + (c << k != v)
+
+
+def _mul(p, q, k):
+    """Enclosure of the product of two enclosures."""
+    x1, y1, rx1, ry1 = p
+    x2, y2, rx2, ry2 = q
+    ax1, ay1, ax2, ay2 = abs(x1), abs(y1), abs(x2), abs(y2)
+    x, rx = _rounded(
+        x1 * x2 - y1 * y2,
+        ax1 * rx2 + ay1 * ry2 + ax2 * rx1 + ay2 * ry1 + rx1 * rx2 + ry1 * ry2,
+        k,
+    )
+    y, ry = _rounded(
+        x1 * y2 + y1 * x2,
+        ax1 * ry2 + ay1 * rx2 + ax2 * ry1 + ay2 * rx1 + rx1 * ry2 + ry1 * rx2,
+        k,
+    )
+    return x, y, rx, ry
+
+
+def _enclose(value, monos, k):
+    """Enclosure of a rational or a scalar from those of the basis
+    monomials of a tower it lives in: one integer combination over the
+    common denominator of the coordinates, divided once."""
     if not isinstance(value, AlgebraicScalar):
-        return mpmath.mpf(value.numerator) / value.denominator
-    total = mpmath.mpf(0)
-    for exps, c in value.iter_terms():
-        term = mpmath.mpf(c.numerator) / c.denominator
-        for g, e in zip(gens, exps):
-            if e:
-                term = term * g ** e
-        total = total + term
-    return total
+        x, rem = divmod(value.numerator << k, value.denominator)
+        return x, 0, int(rem != 0), 0
+    coords = value.coords
+    den = math.lcm(*[c.denominator for c in coords if c])
+    x = y = rx = ry = 0
+    for c, (mx, my, mrx, mry) in zip(coords, monos):
+        if c:
+            m = c.numerator * (den // c.denominator)
+            am = abs(m)
+            x += m * mx
+            y += m * my
+            rx += am * mrx
+            ry += am * mry
+    qx, qy = x // den, y // den
+    return (
+        qx,
+        qy,
+        -(-rx // den) + (qx * den != x),
+        -(-ry // den) + (qy * den != y),
+    )
 
 
-def _numeric_generators(tower):
-    gens = []
-    for n, rad in tower.levels:
-        gens.append(_principal_root(_numeric(rad, gens), n))
-    return gens
+def _root_bound(v, n, k, up):
+    """A bound at scale 2**k, from above if `up` else from below, on the
+    real n-th root of v/2**k; v >= 0 unless n is odd."""
+    a = abs(v) << (n - 1) * k
+    r = _floor_root(a, n)
+    if up == (v > 0) and r ** n != a:
+        r += 1
+    return r if v >= 0 else -r
 
 
-def _truncate_decimal(value, digits):
-    """Decimal string of `value`, a Fraction or an mpmath real, cut
-    toward zero after `digits` places."""
-    if isinstance(value, Fraction):
-        scaled = (abs(value.numerator) * 10 ** digits) // value.denominator
+def _real_root(lo, hi, n, k):
+    """Enclosure of the real n-th roots of [lo, hi] / 2**k."""
+    low, high = _root_bound(lo, n, k, False), _root_bound(hi, n, k, True)
+    c = (low + high) >> 1
+    return c, 0, high - c, 0
+
+
+def _gpow(x, y, n):
+    """(x + y*i)**n on Gaussian integers."""
+    a, b = x, y
+    for _ in range(n - 1):
+        a, b = a * x - b * y, a * y + b * x
+    return a, b
+
+
+def _shifted(v, t):
+    """v * 2**t rounded down, for an int v and any int t."""
+    return v << t if t >= 0 else v >> -t
+
+
+def _to_float(v, t):
+    """v / 2**t as a float, for an int v and any int t."""
+    return v / (1 << t) if t >= 0 else float(v << -t)
+
+
+def _approx_root(x, y, n, k):
+    """The principal n-th root of (x + y*i)/2**k at scale 2**k, roughly:
+    50 bits from floats, each Newton step doubling them."""
+    # the root is about 2**s; the floats see the radicand over 2**(n*s)
+    s = (max(abs(x), abs(y)).bit_length() - k) // n
+    shift = k + n * s
+    z = complex(_to_float(x, shift), _to_float(y, shift)) ** (1 / n)
+    X = _shifted(int(math.ldexp(z.real, 52)), k + s - 52)
+    Y = _shifted(int(math.ldexp(z.imag, 52)), k + s - 52)
+    t = (n - 1) * k
+    bits = 50
+    while bits < k + s:
+        px, py = _gpow(X, Y, n - 1)
+        norm = px * px + py * py
+        if not norm:
+            break
+        qx = ((x * px + y * py) << t) // norm
+        qy = ((y * px - x * py) << t) // norm
+        X, Y = ((n - 1) * X + qx) // n, ((n - 1) * Y + qy) // n
+        bits *= 2
+    return X, Y
+
+
+def _in_sector(u, v, n):
+    """Whether u + v*i lies in the open sector |arg| < pi/n, n >= 2: for
+    w = u + |v|*i off the real axis, exactly when Im(w**j) > 0 for
+    j = 1..n, since the angles j*arg(w) step by less than pi."""
+    if not v:
+        return u > 0
+    v = abs(v)
+    a, b = u, v
+    for _ in range(n - 1):
+        a, b = a * u - b * v, a * v + b * u
+        if b <= 0:
+            return False
+    return True
+
+
+def _complex_root(x, y, rx, ry, n, k):
+    """Enclosure of the principal n-th root of every value in the
+    rectangle, or None when the principal branch is not settled.
+
+    Some root of z**n - r lies within |z0**n - r| / |z0|**(n-1) of z0,
+    as |f'/f| = |sum 1/(z0 - root)| <= n / (distance to the nearest
+    root).  A root inside the open sector |arg| < pi/n is the principal
+    one, and the sector holds the whole square around z0 when it holds
+    its four corners."""
+    X, Y = _approx_root(x, y, n, k)
+    low = math.isqrt(X * X + Y * Y) ** (n - 1)
+    if not low:
+        return None
+    s = (n - 1) * k
+    zx, zy = _gpow(X, Y, n)
+    fx, fy = zx - (x << s), zy - (y << s)
+    err = _ceil_root(fx * fx + fy * fy, 2) + ((rx + ry) << s)
+    rho = -(-err // low)
+    for u in (X - rho, X + rho):
+        for v in (Y - rho, Y + rho):
+            if not _in_sector(u, v, n):
+                return None
+    return X, Y, rho, rho
+
+
+def _root(ball, n, k, final):
+    """Enclosure of the principal n-th root of every value in `ball`,
+    with the real root for a real radicand and odd n.
+
+    A radicand whose branch is not settled gets the disc that holds all
+    its roots.  In the `final` round a rectangle that still meets the
+    negative real axis is taken to lie on it."""
+    if n == 1:
+        return ball
+    x, y, rx, ry = ball
+    if not (y or ry):
+        lo, hi = x - rx, x + rx
+        if n % 2 or lo >= 0:
+            return _real_root(lo, hi, n, k)
+        if hi < 0:
+            # |r|**(1/n) * exp(i*pi/n), and exp(i*pi/n) is the principal
+            # (n/2)-th root of i
+            omega = _root((0, 1 << k, 0, 0), n // 2, k, final)
+            return _mul(_real_root(-hi, -lo, n, k), omega, k)
     else:
-        scaled = int(mpmath.floor(abs(value) * mpmath.mpf(10) ** digits))
-    sign = "-" if value < 0 and scaled else ""
+        found = _complex_root(x, y, rx, ry, n, k)
+        if found is not None:
+            return found
+        if final and x - rx <= 0 and y - ry <= 0 <= y + ry:
+            return _root((x, 0, rx, 0), n, k, final)
+    top = _ceil_root((abs(x) + rx) ** 2 + (abs(y) + ry) ** 2, 2)
+    bound = _ceil_root(top << (n - 1) * k, n)
+    return 0, 0, bound, bound
+
+
+@functools.lru_cache(maxsize=64)
+def _monomials(tower, k, final):
+    """Enclosures of the tower's basis monomials at scale 2**k, in
+    coordinate order.  The tower below is looked up through the cache,
+    so the generators of a tower are enclosed once per scale for every
+    value over any of its prefixes."""
+    if not tower.levels:
+        return ((1 << k, 0, 0, 0),)
+    monos = _monomials(tower.prefix(tower.height - 1), k, final)
+    n, rad = tower.levels[-1]
+    g = _root(_enclose(rad, monos, k), n, k, final)
+    powers = [g]
+    for _ in range(n - 2):
+        powers.append(_mul(powers[-1], g, k))
+    return monos + tuple(_mul(m, p, k) for p in powers for m in monos)
+
+
+def _decimal_text(t, digits):
+    """The decimal string of t / 10**digits."""
+    sign = "-" if t < 0 else ""
+    t = abs(t)
     if digits == 0:
-        return f"{sign}{scaled}"
-    whole, frac = divmod(scaled, 10 ** digits)
+        return f"{sign}{t}"
+    whole, frac = divmod(t, 10 ** digits)
     return f"{sign}{whole}.{frac:0{digits}d}"
+
+
+def _truncated(c, r, digits, k, final):
+    """c/2**k +- r/2**k times 10**digits, truncated toward zero, when
+    every point of the interval truncates alike; else, in the `final`
+    round, the truncation of the one cut point the interval holds, and
+    None otherwise."""
+    scale = 10 ** digits
+    lo, hi = c - r, c + r
+    lo = -(-lo * scale >> k) if lo < 0 else lo * scale >> k
+    hi = -(-hi * scale >> k) if hi < 0 else hi * scale >> k
+    if lo == hi:
+        return lo
+    if final and hi - lo == 1:
+        return max(lo, hi, key=abs)
+    return None
+
+
+# refinement stops doubling the scale, and a component still on a cut
+# point prints that cut point, once the scale reaches this multiple of
+# the starting one
+_TOP = 16
 
 
 def approximate(scalar, digits):
     """Decimal approximation with `digits` places, truncated toward zero.
 
-    Rational values are cut exactly; irrational ones go through interval
-    refinement until two working precisions agree on the printed string.
+    Rational values are cut exactly.  An irrational value is enclosed in
+    a rectangle with dyadic corners at scale 2**-k, generator by
+    generator, with outward rounding: real roots by integer roots,
+    complex roots by Newton steps and a root-distance bound, the
+    principal branch picked by exact comparisons.  The scale starts at
+    k = ceil(digits*log2(10)) + 32 and doubles until each component lies
+    between two consecutive cut points of the truncation, or is known
+    exactly; then the printed digits are proven.
+
+    One case stays unproven: a component that is itself a nonzero
+    `digits`-place decimal but is not known exactly, such as the real
+    part of 1 + i enclosed as 4**(1/4)*exp(i*pi/4) over a level
+    (-4)**(1/4).  Its rectangles always hold that cut point, so once k
+    reaches 16 times its start the value prints that decimal.  An
+    irrational component never sits on a cut point, so refining it ends;
+    only one within 2**-k of a cut point at the top scale would print
+    the cut point as well.
+
     A complex value prints as "<re>+<im>*i" (or with "-"), dropping the
     imaginary half when it truncates to zero.
     """
     if not isinstance(scalar, AlgebraicScalar):
-        return _truncate_decimal(Fraction(scalar), digits)
-    prev = None
-    prec = 120
-    while prec <= 1 << 18:
-        with mpmath.workprec(prec):
-            gens = _numeric_generators(scalar.tower)
-            v = _numeric(scalar, gens)
-            if isinstance(v, mpmath.mpc):
-                re_s = _truncate_decimal(v.real, digits)
-                im_s = _truncate_decimal(abs(v.imag), digits)
-                if set(im_s) <= {"0", "."}:
-                    text = re_s
-                else:
-                    op = "+" if v.imag > 0 else "-"
-                    text = f"{re_s}{op}{im_s}*i"
-            else:
-                text = _truncate_decimal(v, digits)
-        if text == prev:
-            return text
-        prev = text
-        prec *= 2
-    raise PipelineError("decimal truncation did not stabilize")
+        q = Fraction(scalar)
+        t = abs(q.numerator) * 10 ** digits // q.denominator
+        return _decimal_text(-t if q < 0 else t, digits)
+    start = math.ceil(digits * math.log2(10)) + 32
+    k = start
+    while True:
+        final = k >= _TOP * start
+        x, y, rx, ry = _enclose(scalar, _monomials(scalar.tower, k, final), k)
+        re = _truncated(x, rx, digits, k, final)
+        im = _truncated(y, ry, digits, k, final)
+        if re is not None and im is not None:
+            text = _decimal_text(re, digits)
+            if not im:
+                return text
+            return f"{text}{'+' if im > 0 else '-'}{_decimal_text(abs(im), digits)}*i"
+        k *= 2
 
 
 # -- display ---------------------------------------------------------
@@ -615,7 +831,8 @@ def scalar_payload(scalar, digits=8):
     coordinate.
 
     Each tower step serializes its radicand recursively, as a payload
-    over the whole tower below it."""
+    over the whole tower below it.  The decimals of those payloads reuse
+    the generator enclosures `approximate` caches per tower and scale."""
     tower = tower_of(scalar)
     return {
         "tower": [

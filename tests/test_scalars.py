@@ -1,7 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from arnoldnf.classify import classify
 from arnoldnf.errors import PipelineError
@@ -199,6 +202,133 @@ def test_approximate_complex():
     assert approximate(i_unit, 5) == "0.00000+1.00000*i"
     assert approximate(1 - i_unit, 3) == "1.000-1.000*i"
     assert approximate(i_unit * i_unit, 4) == "-1.0000"
+    # components on a cut point.  The Newton point of (2i)^(1/2) lands
+    # on 1 + i itself, where the root-distance bound is 0
+    _, root_2i = adjoin_root(tower, 2, 2 * i_unit)
+    assert approximate(root_2i, 3) == "1.000+1.000*i"
+    assert approximate(root_2i, 8) == "1.00000000+1.00000000*i"
+    assert approximate(root_2i, 20) == "1.{0}+1.{0}*i".format("0" * 20)
+    assert approximate(root_2i - 1, 3) == "0.000+1.000*i"
+    # ((-3)^(1/6))^3 = sqrt(3)*i: a real part near 0 truncates to 0
+    _, sixth = adjoin_root(QQ, 6, -3)
+    assert approximate(sixth ** 3, 6) == "0.000000+1.732050*i"
+    # (-4)^(1/4) = 1 + i, adjoined as a level of its own, is enclosed as
+    # 4^(1/4)*exp(i*pi/4): its rectangles keep holding the cut points, and
+    # past the top scale it prints them
+    g = FieldTower(((4, Fraction(-4)),)).generator(0)
+    assert approximate(g, 8) == "1.00000000+1.00000000*i"
+    assert approximate(-g, 3) == "-1.000-1.000*i"
+    assert approximate(g * g, 3) == "0.000+2.000*i"
+    assert approximate(g - 1, 0) == "0+1*i"
+
+
+def test_approximate_thousand_digits_of_a_degree_24_modulus():
+    # the E_14 modulus a of a seed-2 `towers` germ lives over
+    # ((-1/3)^(1/8), (1/3)^(1/3)), degree 24
+    r = classify(parse_poly("3*x^3-x*y^6-3*y^8", ("x", "y")))
+    a = dict(r.parameters)["a"]
+    assert tower_of(a).degree == 24
+    start = time.perf_counter()
+    text = approximate(a, 1000)
+    assert time.perf_counter() - start < 0.5
+    assert text.startswith("0.2150817903413082113646088683")
+    assert text.endswith("3869199939579346733570029838*i")
+
+
+_INDICES = (2, 3, 4, 6)
+_RATIONALS = st.fractions(-12, 12, max_denominator=5).filter(bool)
+
+
+@st.composite
+def _tower_values(draw):
+    """A tower of height 1-3 over rational radicands of both signs, one
+    level (above the first) with the radicand a + b*g over the generator
+    g below, and a sparse element over it; with the sympy expression of
+    that element, real roots for odd indices of negative reals."""
+    height = draw(st.integers(1, 3))
+    nested = draw(st.integers(1, height - 1)) if height > 1 else None
+    levels, gens, real = [], [], []
+    degree = 1
+    for i in range(height):
+        n = draw(st.sampled_from(_INDICES))
+        if i == nested:
+            a, b = draw(_RATIONALS), draw(_RATIONALS)
+            coords = [Fraction(0)] * degree
+            coords[0] = a
+            coords[degree // levels[-1][0]] = b
+            rad = AlgebraicScalar(FieldTower(levels), tuple(coords))
+            expr = sympy.Rational(a) + sympy.Rational(b) * gens[-1]
+            is_real = real[-1]
+        else:
+            rad = draw(_RATIONALS)
+            expr = sympy.Rational(rad)
+            is_real = True
+        negative = is_real and sympy.N(expr, 50) < 0
+        if negative and n % 2:
+            gens.append(sympy.real_root(expr, n))
+        else:
+            gens.append(sympy.root(expr, n))
+        real.append(is_real and not (negative and n % 2 == 0))
+        levels.append((n, rad))
+        degree *= n
+    tower = FieldTower(levels)
+    coords = [Fraction(0)] * degree
+    for _ in range(draw(st.integers(1, 3))):
+        coords[draw(st.integers(0, degree - 1))] = draw(_RATIONALS)
+    value = AlgebraicScalar.make(tower, coords)
+    expr = sympy.Integer(0)
+    for idx, c in enumerate(coords):
+        if c:
+            term = sympy.Rational(c)
+            for g, e in zip(gens, tower.exps_of(idx)):
+                term *= g ** e
+            expr += term
+    return value, expr
+
+
+def _reference_part(x, digits):
+    """The truncation of x at `digits` places, and whether x lies within
+    10^-(digits+20) of a nonzero cut point."""
+    s = abs(sympy.Rational(x)) * 10 ** digits
+    t = int(sympy.floor(s))
+    eps = sympy.Rational(1, 10 ** 20)
+    near = (t >= 1 and s - t < eps) or t + 1 - s < eps
+    return (-t if x < 0 else t), near
+
+
+def _reference_text(t, digits):
+    sign = "-" if t < 0 else ""
+    t = abs(t)
+    if digits == 0:
+        return f"{sign}{t}"
+    return f"{sign}{t // 10 ** digits}.{t % 10 ** digits:0{digits}d}"
+
+
+def test_approximate_matches_sympy_on_random_towers():
+    skipped, compared = [], []
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(_tower_values(), st.integers(0, 60))
+    def check(drawn, digits):
+        value, expr = drawn
+        # sympy evaluates perfect powers, so a rational value is exact
+        # here and its cut points are the program's to settle
+        exact = expr.is_Rational
+        re_x, im_x = expr.as_real_imag() if exact else sympy.N(expr, digits + 30).as_real_imag()
+        re_t, re_near = _reference_part(re_x, digits)
+        im_t, im_near = _reference_part(im_x, digits)
+        if not exact and (re_near or im_near):
+            skipped.append(value)
+            return
+        want = _reference_text(re_t, digits)
+        if im_t:
+            op = "+" if im_t > 0 else "-"
+            want += f"{op}{_reference_text(abs(im_t), digits)}*i"
+        assert approximate(value, digits) == want
+        compared.append(value)
+
+    check()
+    assert len(skipped) <= len(compared) // 10, (len(skipped), len(compared))
 
 
 def test_format_and_payload():

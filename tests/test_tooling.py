@@ -128,6 +128,36 @@ def test_tracer_counts_tower_arithmetic():
     assert seen["tower_degree_max"] >= 2
 
 
+MODULUS_RUN = """
+import contextlib, io, sys
+from arnoldnf import cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["--json", "--", sys.argv[1]])
+print(code, "mpmath" in sys.modules, out.getvalue().strip())
+"""
+
+
+def test_tower_modulus_prints_without_mpmath():
+    # the package has no runtime dependency: the decimals of a modulus
+    # in Q(sqrt 3) come from integer enclosures, and nothing imports
+    # mpmath on the way
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", MODULUS_RUN, "3*x^4-x^2*y^2+y^4"],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    code, loaded, payload = done.stdout.strip().split(" ", 2)
+    assert code == "0"
+    (param,) = json.loads(payload)["parameters"]
+    assert param["tower"] and param["approx"] == "-0.57735026"
+    assert loaded == "False"
+
+
 def test_determinacy_cut_costs_no_extra_standard_basis(monkeypatch):
     # classify cuts the corank two reduction at the determinacy degree
     # that split_germ reads off its own Milnor count; no second Mora
