@@ -34,9 +34,10 @@ from .newton import (
     repeated_factor,
     two_face_grading,
 )
-from .poly import SparsePoly, poly_order, weight_value, wlayer
+from .poly import poly_order, weight_value, wlayer
 from .scalars import format_scalar, monomial_text
 from .transform import (
+    _shift,
     absorb_above,
     apply_linear,
     clear_level,
@@ -46,7 +47,6 @@ from .transform import (
     kill_face_middle,
     normalize_double_core,
     rescale_to_unit,
-    shear,
     split_germ,
     straighten_jet,
 )
@@ -105,7 +105,9 @@ def classify(f):
     Returns a Result, or raises Rejection when the germ is outside the
     covered range (non-isolated, corank above two, or modality above
     two).  Raises ValueError for input that is not a germ with a
-    critical point at the origin.
+    critical point at the origin, or that passes the size limit of the
+    Milnor engine's monomial codes: exponents must stay below 2^20 and
+    the weighted degrees of its standard basis below 2^19.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no singularity type")
@@ -173,9 +175,7 @@ def _corank_two(split, trace):
                 if sum(power) < 2:
                     raise PipelineError("repeated face factor inside the jet")
                 c = fac.coeff(raw[v]) / fac.coeff(raw[1 - v])
-                parts = [SparsePoly.zero(g.vars)] * 2
-                parts[v] = SparsePoly.monomial(g.vars, power, c)
-                g = shear(g, *parts, ((1, 1), bound))
+                g = _shift(g, v, c, power, bound)
                 mono = monomial_text(g.vars, power)
                 trace.append(f"sheared {g.vars[v]} by -({format_scalar(c)})*{mono}")
                 continue
@@ -282,8 +282,7 @@ def _complete_square_tail(g, vend, bound, trace):
     if k < 2:
         raise PipelineError("square completion would disturb the jet")
     c = g.coeff(vend) / (2 * pivot)
-    v2 = SparsePoly.monomial(g.vars, (k, 0), c)
-    g = shear(g, SparsePoly.zero(g.vars), v2, ((1, 1), bound))
+    g = _shift(g, 1, c, (k, 0), bound)
     trace.append(f"completed the square: y by -({format_scalar(c)})*x^{k}")
     return g
 

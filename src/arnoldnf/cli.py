@@ -195,10 +195,8 @@ def _row_values(key, indices, rng):
 def _row_germ(key, indices, values):
     f = instantiate(key, indices, values)
     if len(f.vars) == 1:
-        g = SparsePoly.zero(("x", "y"))
-        for (e,), c in f.terms.items():
-            g = g + SparsePoly.monomial(("x", "y"), (e, 0), c)
-        f = g + SparsePoly.monomial(("x", "y"), (0, 2), Fraction(1))
+        terms = {(e, 0): c for (e,), c in f.terms.items()}
+        f = SparsePoly.build(("x", "y"), {**terms, (0, 2): 1})
     return f
 
 
@@ -236,13 +234,30 @@ def _tangent_images(rng):
     return images
 
 
-def _run_sample(f0, kind, rng, bound, row_name, values):
-    if kind == "identity":
-        g = f0
-    elif kind == "linear":
-        g = apply_linear(f0, _linear_rows(rng), bound)
-    else:
-        g = substitute(f0, _tangent_images(rng), truncation=((1, 1), bound))
+def _sample_germ(f0, kind, rng, bound):
+    """f0 under a linear or tangent change drawn from rng, cut at `bound`."""
+    if kind == "linear":
+        return apply_linear(f0, _linear_rows(rng), bound)
+    return substitute(f0, _tangent_images(rng), truncation=((1, 1), bound))
+
+
+def _harness_draws(rows, count, rng):
+    """Yield (key, indices, values, germs) per row in the harness's rng
+    order: the moduli values, then a change for each of the count - 1
+    samples after the base germ, linear and tangent by turns; `germs`
+    lists (kind, germ), the images cut at mu + 2."""
+    for key, indices in rows:
+        values = _row_values(key, indices, rng)
+        f0 = _row_germ(key, indices, values)
+        bound = FAMILY[key].mu(*indices) + 2
+        germs = [("identity", f0)]
+        for i in range(1, count):
+            kind = "linear" if i % 2 else "tangent"
+            germs.append((kind, _sample_germ(f0, kind, rng, bound)))
+        yield key, indices, values, germs
+
+
+def _run_sample(g, kind, row_name, values):
     record = {"transform": kind}
     try:
         r = classify(g)
@@ -287,15 +302,9 @@ def run_harness(ns):
         "parameters_recovered": 0,
     }
     started = time.monotonic()
-    for key, indices in rows:
-        values = _row_values(key, indices, rng)
+    for key, indices, values, germs in _harness_draws(rows, ns.count, rng):
         name = display_name(key, indices)
-        f0 = _row_germ(key, indices, values)
-        bound = FAMILY[key].mu(*indices) + 2
-        samples = []
-        for i in range(ns.count):
-            kind = "identity" if i == 0 else ("linear" if i % 2 else "tangent")
-            samples.append(_run_sample(f0, kind, rng, bound, name, values))
+        samples = [_run_sample(g, kind, name, values) for kind, g in germs]
         report_rows.append(
             {
                 "type": name,
@@ -428,9 +437,11 @@ def main(argv=None):
     """Run `classify` or `classify harness` on argv; return the exit status.
 
     0: the germ is classified (or the harness ran); 1: unusable input,
-    a usage error or a parse error; 2: the germ lies outside the covered
-    range and is rejected; 3: an internal error, a step of the
-    classifier broke its own invariant.
+    a usage error, a parse error, or a germ past the size limit of
+    `classify` (an exponent of 2^20, or a standard basis degree of
+    2^19); 2: the germ lies outside the covered range and is rejected;
+    3: an internal error, a step of the classifier broke its own
+    invariant.
     """
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] == "harness":

@@ -88,7 +88,7 @@ def _integers(terms):
 
 def _encoded(terms, order):
     if max(map(max, terms)) >= _BASE:
-        raise PipelineError("an exponent reaches the monomial code base")
+        raise ValueError(f"an exponent reaches the engine's limit {_BASE}")
     return _strip({order.code(e): c for e, c in terms.items()})
 
 
@@ -115,7 +115,9 @@ def _reducer(d, order):
     weighted degree ceil(k / B), so the ecart reads off min(d) and max(d)."""
     first, low = min(d), -(-max(d) // _BASE)
     if low >= _BASE // 2:
-        raise PipelineError(f"weighted degree {low} reaches half the monomial code base")
+        raise ValueError(
+            f"weighted degree {low} reaches the engine's limit {_BASE // 2}"
+        )
     return order.exps(first), low - -(-first // _BASE), d, first
 
 

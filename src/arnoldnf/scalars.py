@@ -488,12 +488,6 @@ def adjoin_root(tower, n, radicand):
 # radius 0, so the exact zero real part of (-1)**(1/2) stays exact.
 
 
-def _ceil_root(a, n):
-    """ceil(a ** (1/n)) of a nonnegative integer."""
-    r = _floor_root(a, n)
-    return r if r ** n == a else r + 1
-
-
 def _rounded(v, err, k):
     """Center and radius at scale 2**k of v +- err given at scale 2**(2k)."""
     c = v >> k
@@ -634,7 +628,7 @@ def _complex_root(x, y, rx, ry, n, k):
     s = (n - 1) * k
     zx, zy = _gpow(X, Y, n)
     fx, fy = zx - (x << s), zy - (y << s)
-    err = _ceil_root(fx * fx + fy * fy, 2) + ((rx + ry) << s)
+    err = _root_bound(fx * fx + fy * fy, 2, 0, True) + ((rx + ry) << s)
     rho = -(-err // low)
     for u in (X - rho, X + rho):
         for v in (Y - rho, Y + rho):
@@ -668,8 +662,8 @@ def _root(ball, n, k, final):
             return found
         if final and x - rx <= 0 and y - ry <= 0 <= y + ry:
             return _root((x, 0, rx, 0), n, k, final)
-    top = _ceil_root((abs(x) + rx) ** 2 + (abs(y) + ry) ** 2, 2)
-    bound = _ceil_root(top << (n - 1) * k, n)
+    top = _root_bound((abs(x) + rx) ** 2 + (abs(y) + ry) ** 2, 2, 0, True)
+    bound = _root_bound(top, n, k, True)
     return 0, 0, bound, bound
 
 

@@ -253,15 +253,10 @@ def apply_linear(f, rows, bound=None):
     n = len(vars)
     if all(c == int(i == j) for i, row in enumerate(rows) for j, c in enumerate(row)):
         return f if bound is None else wjet(f, (1,) * n, bound)
-    images = {}
-    for i, name in enumerate(vars):
-        img = SparsePoly.zero(vars)
-        for j, c in enumerate(rows[i]):
-            if c:
-                img = img + SparsePoly.monomial(
-                    vars, tuple(1 if k == j else 0 for k in range(n)), c
-                )
-        images[name] = img
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    images = {
+        name: SparsePoly.build(vars, zip(units, row)) for name, row in zip(vars, rows)
+    }
     trunc = ((1,) * n, bound) if bound is not None else None
     return substitute(f, images, truncation=trunc)
 
@@ -478,7 +473,7 @@ def _absorb(f, weights, level, allowed, truncation):
             elif e not in allowed:
                 stray[e] = c
         # the shear of the round before must keep the principal part
-        if table is not None and not (SparsePoly(f.vars, low) - base).is_zero():
+        if table is not None and low != base.terms:
             raise PipelineError("tail absorption disturbed the principal part")
         if not stray:
             return f
@@ -487,9 +482,7 @@ def _absorb(f, weights, level, allowed, truncation):
                 wlayer(f, weights, level), weights, level, allowed, truncation
             )
         j = min(weight[e] for e in stray)
-        layer = SparsePoly(
-            f.vars, {e: c for e, c in stray.items() if weight[e] == j}
-        )
+        layer = {e: c for e, c in stray.items() if weight[e] == j}
         v1, v2 = table.layer_shear(layer, j)
         if v1.is_zero() and v2.is_zero():
             raise PipelineError("tail absorption made no progress")
@@ -656,6 +649,12 @@ def shear(f, v1, v2, truncation):
     return SparsePoly(f.vars, {e: c for e, c in out.items() if c})
 
 
+def _shift(f, v, c, exps, bound):
+    """The shear x_v -> x_v - c * x^exps, cut at standard degree `bound`."""
+    parts = [SparsePoly.build(f.vars, {exps: c} if i == v else {}) for i in (0, 1)]
+    return shear(f, *parts, ((1, 1), bound))
+
+
 # the codes of `localalg.LocalOrder` under the ordinary weight follow
 # term_sort_key: min() of a code dict is its lowest term
 _CODES = LocalOrder((1, 1))
@@ -782,25 +781,15 @@ class _ColumnTable:
                 continue
             room = self.cut - wx * u[0] - wy * u[1]
             shift = _CODES.code(u)
-            prod = {}
+            col = {}
             for w, code, c in self.partials[var_index]:
                 if w > room:
                     break
-                prod[code + shift] = c
-            made = self._reduce(prod, {(var_index, u): 1})
-            self.kept.append((position, floor, made))
-        return self.pivots.get(e)
-
-    def _reduce(self, col, combo):
-        """Reduce a column against the table; returns the code of the
-        pivot it becomes, or None when it reduces to zero."""
-        pivots = self.pivots
-        den = 1
-        while col:
-            e = min(col)
-            entry = pivots.get(e)
-            if entry is None:
-                if type(col[e]) is int:
+                col[code + shift] = c
+            col, combo, den = self._eliminate(col, {(var_index, u): 1}, self.pivots.get)
+            made = min(col, default=None)
+            if made is not None:
+                if type(col[made]) is int:
                     # the pivot sheds its content into its denominator
                     g = gcd(*col.values())
                     if g > 1:
@@ -810,47 +799,49 @@ class _ColumnTable:
                     if g > 1:
                         combo = {t: v // g for t, v in combo.items()}
                         den //= g
-                pivots[e] = (col, combo, den)
-                return e
+                self.pivots[made] = (col, combo, den)
+            self.kept.append((position, floor, made))
+        return self.pivots.get(e)
+
+    def _eliminate(self, col, combo, pivot):
+        """Reduce col, the combination combo of columns, by steps
+        a * col - b * base on its lowest term e until col is zero or
+        `pivot(e)` is None; returns (col, combo, den), col now the
+        combination combo / den."""
+        den = 1
+        while col:
+            e = min(col)
+            entry = pivot(e)
+            if entry is None:
+                break
             base, base_combo, base_den = entry
             a, b = _multipliers(col[e], base[e])
             col = _combine(col, a, 0, base, b, 0, _NO_LIMIT)
             combo, den = _combination(a, combo, den, b, base_combo, base_den)
-        return None
+        return col, combo, den
 
     def layer_shear(self, layer, j):
-        """Exact shear removing one weight layer j of stray terms.
+        """Exact shear removing one weight layer j of stray terms, a
+        term dict.
 
         Returns the shear parts (v1, v2) with the sign convention
-        x -> x - v1, y -> y - v2.  The layer is reduced cross
-        multiplied as the columns are, on integers when it and the
-        principal part are rational: scale * layer = s + the columns of
-        combo / den holds throughout, a step a * s - b * base multiplies
-        the scale by a, and the parts are combo / (den * scale), one
-        division per layer.
+        x -> x - v1, y -> y - v2.  The layer is reduced as a column
+        tagged None, on integers when it and the principal part are
+        rational: once it reaches zero, combo[None] * layer cancels the
+        other columns of combo, so the parts are -combo / combo[None].
         """
         self._rewind(j)
-        terms = layer.terms
-        scale = 1
-        if self.rational and tower_of(*terms.values()) is QQ:
-            terms, q = _integers(terms)
-            scale = 1 / q
-        s = {_CODES.code(e): c for e, c in terms.items()}
-        combo, den = {}, 1
-        while s:
-            e = min(s)
-            entry = self._pivot(e)
-            if entry is None:
-                raise PipelineError(
-                    f"tail term {_CODES.exps(e)} is out of reach of the "
-                    "Jacobian ideal"
-                )
-            base, base_combo, base_den = entry
-            a, b = _multipliers(s[e], base[e])
-            s = _combine(s, a, 0, base, b, 0, _NO_LIMIT)
-            combo, den = _combination(a, combo, den, -b, base_combo, base_den)
-            scale = a * scale
-        inverse = self.column_scale / (scale * den)
+        q = 1
+        if self.rational and tower_of(*layer.values()) is QQ:
+            layer, q = _integers(layer)
+        s = {_CODES.code(e): c for e, c in layer.items()}
+        s, combo, _ = self._eliminate(s, {None: 1}, self._pivot)
+        if s:
+            raise PipelineError(
+                f"tail term {_CODES.exps(min(s))} is out of reach of the "
+                "Jacobian ideal"
+            )
+        inverse = -q * self.column_scale / combo.pop(None)
         parts = [{}, {}]
         for (var_index, u), value in sorted(combo.items()):
             parts[var_index][u] = value * inverse
@@ -985,11 +976,7 @@ def kill_face_middle(f, exps3, exps2, exps1, sub_power, bound):
             return 2
         return 0 if rational_nth_root(cube, 3) is not None else 1
 
-    shift = min(roots, key=rank)
-    if not shift:
-        return f
-    v1 = SparsePoly.monomial(f.vars, (0, sub_power), -shift)
-    f2 = shear(f, v1, SparsePoly.zero(f.vars), ((1, 1), bound))
+    f2 = _shift(f, 0, -min(roots, key=rank), (0, sub_power), bound)
     if f2.coeff(exps1):
         raise PipelineError("face middle term survived the shift")
     return f2
@@ -1057,14 +1044,11 @@ def expose_end(g, jet, var_index, exps, bound):
     whenever that polynomial is nonzero.
     """
     top = max((e[var_index] for e in jet.terms), default=0)
-    zero = SparsePoly.zero(g.vars)
     for k in range(1, top + 3):
         for lam in (k, -k):
             value = sum(c * lam ** e[var_index] for e, c in jet.terms.items())
             if value:
-                step = SparsePoly.monomial(g.vars, exps, -lam)
-                v1, v2 = (step, zero) if var_index == 0 else (zero, step)
-                return shear(g, v1, v2, ((1, 1), bound)), lam
+                return _shift(g, var_index, -lam, exps, bound), lam
     raise PipelineError("no shift exposes the end of the jet")
 
 

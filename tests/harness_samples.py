@@ -2,8 +2,8 @@
 
 Each catalog row gives its base germ with moduli drawn from the
 harness palette, then a linear and a tangent image of it cut where the
-harness cuts them, at mu + 2.  The draws follow `cli.run_harness` with
-`--count 3` for the given seed.
+harness cuts them, at mu + 2.  The draws come from `cli._harness_draws`,
+as in `classify harness --count 3` for the given seed.
 
 `harness_golden_lines` records what `classify harness` prints and what
 each of its classifications returns.  `tests/golden/harness_seed1.jsonl`
@@ -11,42 +11,39 @@ holds them for seed 1, and a tooling test compares them byte for byte.
 Those germs never pass through `parse_poly`; `strings_golden_lines`
 sends each one through the command line as its printed string, and
 `tests/golden/strings_seed1.jsonl` holds that output for seed 1.
-Rewrite both files with `PYTHONPATH=src python tests/harness_samples.py`
+`corpus_golden_lines` does the same for each distinct germ of the four
+seed-1 benchmark corpora, read from `perfbench/corpus.py`, with its
+exit status, and `tests/golden/corpus_seed1.jsonl` holds them.
+Rewrite the files with `PYTHONPATH=src python tests/harness_samples.py`
 only together with a CHANGES.md line that explains the change.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import random
+import sys
 from pathlib import Path
 
 from arnoldnf import cli
-from arnoldnf.catalog import FAMILY
-from arnoldnf.poly import poly_str, substitute
+from arnoldnf.poly import poly_str
 from arnoldnf.scalars import QQ, tower_of
-from arnoldnf.transform import apply_linear
 
 
 def harness_germs(seed=1, keys=None):
     """Yield (key, germ) for each base germ and its two images; with
     `keys`, only the rows of those families, drawn as in the full run."""
-    rng = random.Random(seed)
-    for key, indices in cli._harness_rows():
-        values = cli._row_values(key, indices, rng)
-        f0 = cli._row_germ(key, indices, values)
-        bound = FAMILY[key].mu(*indices) + 2
-        linear = cli._linear_rows(rng)
-        tangent = cli._tangent_images(rng)
-        if keys is not None and key not in keys:
-            continue
-        yield key, f0
-        yield key, apply_linear(f0, linear, bound)
-        yield key, substitute(f0, tangent, truncation=((1, 1), bound))
+    draws = cli._harness_draws(cli._harness_rows(), 3, random.Random(seed))
+    for key, _, _, germs in draws:
+        if keys is None or key in keys:
+            yield from ((key, g) for _, g in germs)
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "harness_seed1.jsonl"
 STRINGS_GOLDEN = GOLDEN.with_name("strings_seed1.jsonl")
+CORPUS_GOLDEN = GOLDEN.with_name("corpus_seed1.jsonl")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def harness_golden_lines(seed=1, count=3):
@@ -77,17 +74,46 @@ def harness_golden_lines(seed=1, count=3):
     ]
 
 
+def _printed(text):
+    """Exit status and stdout of `classify --json --steps --digits 30`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["--json", "--steps", "--digits", "30", "--", text])
+    return code, out.getvalue()
+
+
 def strings_golden_lines(seed=1):
     """`classify --json --steps --digits 30` stdout for the printed
     string of each harness germ with rational coefficients."""
+    return [
+        _printed(poly_str(f))[1]
+        for _, f in harness_germs(seed)
+        if tower_of(*f.terms.values()) is QQ
+    ]
+
+
+def corpus_germs():
+    """The distinct polynomial strings of the four seed-1 benchmark
+    corpora, in order of first appearance.  `perfbench/corpus.py` builds
+    them with sympy and imports its sibling `invariants`."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_corpus", PERFBENCH / "corpus.py")
+        corpus = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(corpus)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    polys = [op["poly"] for name in corpus.WORKLOADS for op in corpus.build(name, 1)]
+    return list(dict.fromkeys(polys))
+
+
+def corpus_golden_lines():
+    """One JSON line per corpus germ: the string, the exit status and the
+    stdout of `classify --json --steps --digits 30`."""
     lines = []
-    for _, f in harness_germs(seed):
-        if tower_of(*f.terms.values()) is not QQ:
-            continue
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            cli.main(["--json", "--steps", "--digits", "30", "--", poly_str(f)])
-        lines.append(out.getvalue())
+    for text in corpus_germs():
+        code, out = _printed(text)
+        lines.append(json.dumps({"poly": text, "code": code, "stdout": out}) + "\n")
     return lines
 
 
@@ -95,3 +121,4 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text("".join(harness_golden_lines()))
     STRINGS_GOLDEN.write_text("".join(strings_golden_lines()))
+    CORPUS_GOLDEN.write_text("".join(corpus_golden_lines()))

@@ -16,7 +16,14 @@ import pytest
 
 from arnoldnf.catalog import display_name, instantiate
 from arnoldnf.classify import classify
-from arnoldnf.cli import _harness_rows, _row_germ, _row_values, _run_sample, main
+from arnoldnf.cli import (
+    _harness_rows,
+    _row_germ,
+    _row_values,
+    _run_sample,
+    _sample_germ,
+    main,
+)
 from arnoldnf.errors import Rejection
 from arnoldnf.localalg import jacobian_leading_exponents, milnor_number
 from arnoldnf.poly import SparsePoly, parse_poly
@@ -214,7 +221,8 @@ def test_criterion_5_invariance_under_coordinate_changes():
         bound = base.mu + 2
         for kind, count in (("linear", 5), ("tangent", 5)):
             for _ in range(count):
-                rec = _run_sample(f0, kind, rng, bound, name, values)
+                g = _sample_germ(f0, kind, rng, bound)
+                rec = _run_sample(g, kind, name, values)
                 if kind == "linear":
                     linear_n += 1
                     if not rec["type_ok"]:

@@ -209,6 +209,22 @@ def test_smooth_germ_is_usage_error(capsys):
     assert "no constant or linear part" in err
 
 
+@pytest.mark.parametrize(
+    "germ, limit",
+    [
+        ("x^2*y+y^600000", "weighted degree 599999 reaches the engine's limit 524288"),
+        ("x^3+x*y^400000", "weighted degree 799999 reaches the engine's limit 524288"),
+        ("x^2*y+y^1100000", "an exponent reaches the engine's limit 1048576"),
+    ],
+)
+def test_germ_past_the_engine_size_limit_is_unusable_input(germ, limit, capsys):
+    # the Milnor engine codes each monomial as one integer in base 2^20;
+    # a germ past that names the limit and exits as unusable input
+    code, out, err = run([germ], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and limit in err
+
+
 def test_bad_digits(capsys):
     code, out, err = run(["--digits", "0", "x^2+y^2"], capsys)
     assert code == 1

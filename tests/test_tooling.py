@@ -8,8 +8,10 @@ germ whose reduction works over a radical tower.  Later tests count
 the standard basis completions and substitutions behind the splitting
 of a germ, the field divisions behind rational factoring, the layer
 walks behind a double core germ and the classifications of one harness
-run, and the last two hold the seed-1 harness germs to their golden
-files, once as polynomials and once as printed strings.
+run.  Three hold the seed-1 harness germs to their golden files, once
+as polynomials and once as printed strings, and the germs of the seed-1
+benchmark corpora to theirs; the last runs the Tier-1 slice of the
+index sweep.
 """
 
 import ast
@@ -31,12 +33,15 @@ from arnoldnf.poly import parse_poly, poly_order, substitute
 from arnoldnf.scalars import QQ, adjoin_root
 from arnoldnf.transform import split_germ
 from harness_samples import (
+    CORPUS_GOLDEN,
     GOLDEN,
     STRINGS_GOLDEN,
+    corpus_golden_lines,
     harness_germs,
     harness_golden_lines,
     strings_golden_lines,
 )
+from index_sweep import SLICE, UNSETTLED, sweep
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "arnoldnf"
@@ -357,3 +362,22 @@ def test_printed_harness_germs_match_golden_file():
     assert len(got) == len(want) == 162
     for i, (line, golden) in enumerate(zip(got, want)):
         assert line == golden, f"line {i + 1} of {STRINGS_GOLDEN.name}"
+
+
+def test_benchmark_corpus_germs_match_golden_file():
+    # every distinct germ of the four seed-1 benchmark corpora, with its
+    # exit status and `--json --steps --digits 30` output
+    want = CORPUS_GOLDEN.read_text().splitlines(keepends=True)
+    got = corpus_golden_lines()
+    assert len(got) == len(want) == 237
+    for i, (line, golden) in enumerate(zip(got, want)):
+        assert line == golden, f"line {i + 1} of {CORPUS_GOLDEN.name}"
+
+
+def test_index_sweep_slice_recovers_every_sample():
+    # each series a few indices past the harness, base germs and tangent
+    # images, except the corner tangent images that still stop
+    counts, failures = sweep(SLICE, budget=10.0, skip=UNSETTLED)
+    assert failures == {}
+    assert set(counts) == set(SLICE)
+    assert sum(c["ok"] for c in counts.values()) == 96
