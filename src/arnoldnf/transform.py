@@ -3,9 +3,10 @@
 `split_germ` restricts a germ to the critical graph of its Morse
 variables (the splitting lemma), leaving a residual in at most two
 variables.  Most other steps are substitutions that keep the germ right
-equivalent to the input: linear changes straightening a lowest jet,
-shears generated by the Jacobian that empty a graded layer, and
-rescalings that set marked coefficients to one.  `even_quartic_form`
+equivalent to the input: linear changes straightening a lowest jet and
+rescalings that set marked coefficients to one, both run as elementary
+shears and scalings (`apply_linear`), and Taylor shifts generated by
+the Jacobian that empty a graded layer (`shear`).  `even_quartic_form`
 instead reads the X_9 normal form off the quartic jet, to which such a
 germ is right equivalent.
 """
@@ -16,7 +17,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, count
 from math import comb, gcd
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .catalog import double_core_family, moduli_positions
 from .errors import PipelineError
@@ -248,17 +249,82 @@ def _residual_milnor(residual, corank, bound):
 def apply_linear(f, rows, bound=None):
     """Linear substitution sending old variable i to the combination
     rows[i] of the new variables; truncates at standard degree `bound`.
-    The identity change only truncates."""
-    vars = f.vars
-    n = len(vars)
+
+    A linear change keeps every degree, so the cut comes first.  The
+    rows factor as P*L*D*U (`_factor_rows`), and f takes the factors in
+    that order through `_linear_pass`: P as an exponent shuffle, L column
+    by column, D termwise, U row by row from the bottom up.  Each nonzero
+    entry t at (i, j) of the unit triangles L and U is one shear
+    x_i -> x_i + t*x_j.  Rational input runs on integers with one
+    `localalg._integers` scale, divided once at the end; tower input runs
+    on its scalars.  The identity only truncates; singular rows raise
+    ValueError.
+    """
+    n = len(f.vars)
+    if bound is not None:
+        f = wjet(f, (1,) * n, bound)
     if all(c == int(i == j) for i, row in enumerate(rows) for j, c in enumerate(row)):
-        return f if bound is None else wjet(f, (1,) * n, bound)
-    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
-    images = {
-        name: SparsePoly.build(vars, zip(units, row)) for name, row in zip(vars, rows)
-    }
-    trunc = ((1,) * n, bound) if bound is not None else None
-    return substitute(f, images, truncation=trunc)
+        return f
+    a, perm = _factor_rows(rows)
+    passes = [(i, k, a[i][k]) for k in range(n) for i in range(k + 1, n) if a[i][k]]
+    passes += [(k, k, a[k][k]) for k in range(n) if a[k][k] != 1]
+    for k in reversed(range(n)):
+        passes += [(k, j, a[k][j] / a[k][k]) for j in range(k + 1, n) if a[k][j]]
+    rational = tower_of(*f.terms.values(), *(t for _, _, t in passes)) is QQ
+    terms, scale = _integers(f.terms) if rational else (f.terms, Fraction(1))
+    terms = {tuple(e[p] for p in perm): c for e, c in terms.items()}
+    for i, j, t in passes:
+        num, den = (t.numerator, t.denominator) if rational else (t, 1)
+        terms, q = _linear_pass(terms, i, j, num, den)
+        scale /= q
+    out = {e: c * scale if rational else c for e, c in terms.items() if c}
+    return SparsePoly(f.vars, out)
+
+
+def _factor_rows(rows):
+    """(a, perm) with rows[perm[k]] row k of L*D*U, by elimination with
+    a pivot search: a holds L's multipliers below the diagonal and D*U on
+    and above it.  A zero entry forms no multiplier, so a diagonal change
+    divides nothing."""
+    n = len(rows)
+    a = [[Fraction(c) if type(c) is int else c for c in row] for row in rows]
+    perm = list(range(n))
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            raise ValueError("singular linear change")
+        a[k], a[p] = a[p], a[k]
+        perm[k], perm[p] = perm[p], perm[k]
+        for i in range(k + 1, n):
+            if a[i][k]:
+                m = a[i][k] = a[i][k] / a[k][k]
+                for j in range(k + 1, n):
+                    if a[k][j]:
+                        a[i][j] = a[i][j] - m * a[k][j]
+    return a, perm
+
+
+def _linear_pass(terms, i, j, num, den):
+    """x_i -> x_i + t*x_j, or x_i -> t*x_i when j is i, on a term dict,
+    t = num/den: (the image times den^top, den^top), top the largest
+    exponent of x_i; x_i^a yields x_i^(a-k)*x_j^k times C(a, k)*t^k."""
+    top = max((e[i] for e in terms), default=0)
+    dens = list(accumulate([den] * top, mul, initial=1))
+    w = [p * q for p, q in zip(accumulate([num] * top, mul, initial=1), dens[::-1])]
+    if i == j:
+        return {e: w[e[i]] * c for e, c in terms.items()}, dens[-1]
+    out = {}
+    for e, c in terms.items():
+        e = list(e)
+        a = e[i]
+        for k in range(a + 1):
+            key = tuple(e)
+            v = comb(a, k) * w[k] * c
+            held = out.get(key)
+            out[key] = v if held is None else held + v
+            e[i] -= 1
+            e[j] += 1
+    return out, dens[-1]
 
 
 def _binary_form_factors(jet, d):

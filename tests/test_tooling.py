@@ -257,8 +257,19 @@ def test_identity_linear_change_runs_no_substitution(monkeypatch):
             assert transform.apply_linear(g, rows) is g
     assert calls == []
     swapped = transform.apply_linear(parse_poly("x^3+y^5", ("x", "y")), ((0, 1), (1, 0)))
-    assert calls == [1]
     assert swapped == parse_poly("y^3+x^5", ("x", "y"))
+    # a general rational change and a 3-variable one are shears too
+    half = Fraction(1, 2)
+    sheared = transform.apply_linear(
+        parse_poly("x^3+y^4", ("x", "y")), ((2, half), (-1, 3))
+    )
+    assert sheared == parse_poly("(2*x+1/2*y)^3+(3*y-x)^4", ("x", "y"))
+    xyz = ("x", "y", "z")
+    changed = transform.apply_linear(
+        parse_poly("x^2*z+y^3", xyz), ((0, 1, 1), (1, 0, half), (1, -1, 0)), 3
+    )
+    assert changed == parse_poly("(y+z)^2*(x-y)+(x+1/2*z)^3", xyz)
+    assert calls == []
 
 
 def test_rational_factoring_runs_no_field_division(monkeypatch):

@@ -411,6 +411,98 @@ def test_apply_linear_swap():
     assert f.terms == {(0, 3): 1, (5, 0): 1}
 
 
+def _linear_by_substitution(f, rows, bound=None):
+    """apply_linear's earlier route: linear images, then substitute."""
+    n = len(f.vars)
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    images = {
+        name: SparsePoly.build(f.vars, zip(units, row))
+        for name, row in zip(f.vars, rows)
+    }
+    trunc = ((1,) * n, bound) if bound is not None else None
+    return substitute(f, images, truncation=trunc)
+
+
+def _determinant(rows):
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+def test_apply_linear_matches_substitution():
+    # random germs in 2, 3 and 4 variables under random invertible rows:
+    # int and Fraction entries, a zero leading entry that forces the
+    # pivot search to permute, and entries in Q(sqrt 2)
+    rng = random.Random(27)
+    pool = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-5, 3), Fraction(3, 4)]
+    checked = {"permuted": 0, "tower": 0}
+    for case in range(90):
+        n = 2 + case % 3
+        vars = ("x", "y", "z", "w")[:n]
+        terms = {
+            tuple(rng.randint(0, 4) for _ in range(n)): Fraction(
+                rng.randint(-9, 9), rng.randint(1, 5)
+            )
+            for _ in range(rng.randint(1, 7))
+        }
+        tower = case % 4 == 3
+        if tower and case % 8 == 3:
+            e = next(iter(terms))
+            terms[e] = terms[e] * _SQRT2 + 1
+        f = SparsePoly.build(vars, terms)
+        while True:
+            rows = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+            if case % 2:
+                rows[0][0] = 0
+            if tower:
+                i, j = rng.randrange(n), rng.randrange(n)
+                rows[i][j] = rng.randint(1, 3) * _SQRT2 - 1
+            if _determinant(rows):
+                break
+        checked["permuted"] += not rows[0][0]
+        checked["tower"] += tower
+        for bound in (None, 3, 6):
+            want = _linear_by_substitution(f, rows, bound)
+            assert apply_linear(f, rows, bound).terms == want.terms, (f, rows, bound)
+    assert checked["permuted"] >= 45 and checked["tower"] >= 20
+
+
+def test_apply_linear_rejects_singular_rows():
+    f = P("x^3+y^4")
+    for rows in (((1, 1), (1, 1)), ((0, 1), (0, 2)), ((0, 0), (1, 0))):
+        with pytest.raises(ValueError, match="singular linear change"):
+            apply_linear(f, rows)
+    # the third row is the sum of the first two
+    g = P("x^3+y^4+z^5", ("x", "y", "z"))
+    with pytest.raises(ValueError, match="singular linear change"):
+        apply_linear(g, ((1, 0, 1), (0, 1, 1), (1, 1, 2)))
+
+
+def test_diagonal_tower_change_inverts_no_scalar(monkeypatch):
+    # rescale_to_unit applies ((s, 0), (0, t)) with s and t in a tower;
+    # no multiplier is formed for a zero entry, so nothing is inverted
+    _, t = adjoin_root(_SQRT2.tower, 3, Fraction(5))
+    s = 1 + _SQRT2
+    f = P("x^3+2*x^2*y^2+y^5+1/3*x*y^4") + B({(4, 1): _SQRT2})
+    want = _linear_by_substitution(f, ((s, 0), (0, t)), 7)
+    calls = []
+    inverted = AlgebraicScalar.inverted
+
+    def counting_inverted(self):
+        calls.append(1)
+        return inverted(self)
+
+    monkeypatch.setattr(AlgebraicScalar, "inverted", counting_inverted)
+    assert apply_linear(f, ((s, 0), (0, t)), 7) == want
+    assert calls == []
+
+
 # -- emptying one graded level ---------------------------------------
 
 
