@@ -105,9 +105,9 @@ def classify(f):
     Returns a Result, or raises Rejection when the germ is outside the
     covered range (non-isolated, corank above two, or modality above
     two).  Raises ValueError for input that is not a germ with a
-    critical point at the origin, or that passes the size limit of the
-    Milnor engine's monomial codes: exponents must stay below 2^20 and
-    the weighted degrees of its standard basis below 2^19.
+    critical point at the origin, or whose corank two residual passes
+    the Milnor engine's code limits (exponents below 2^20, standard
+    basis degrees below 2^19); corank at most one takes any exponent.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has no singularity type")

@@ -437,9 +437,9 @@ def main(argv=None):
     """Run `classify` or `classify harness` on argv; return the exit status.
 
     0: the germ is classified (or the harness ran); 1: unusable input,
-    a usage error, a parse error, or a germ past the size limit of
-    `classify` (an exponent of 2^20, or a standard basis degree of
-    2^19); 2: the germ lies outside the covered range and is rejected;
+    a usage error, a parse error, or a corank two residual past the size
+    limit of `classify` (an exponent of 2^20, or a standard basis degree
+    of 2^19); 2: the germ lies outside the covered range and is rejected;
     3: an internal error, a step of the classifier broke its own
     invariant.
     """

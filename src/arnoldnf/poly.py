@@ -11,8 +11,9 @@ Fractions, so no quotient of two coefficients is ever a float.
 Weight data is a tuple of weight vectors.  The weighted degree of a
 monomial is the minimum of its values under the vectors, so a single
 vector gives the usual weighted grading and several vectors give the
-piecewise grading used along a Newton polygon.  A truncation
-(`mul_trunc`, `substitute`) cuts by a single vector.
+piecewise grading used along a Newton polygon.  A truncation cuts by a
+single vector, in the one truncated product `_add_products` on lists
+from `_by_weight`: `mul_trunc` and `transform.shear` run on it.
 
 Sums, products and powers run on the term-dict kernels `_terms_add`,
 `_terms_mul` and `_terms_pow`, which keep exponents in order of first
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from operator import add, itemgetter, mul
 
 from .errors import ParseError
 from .scalars import (
@@ -149,7 +151,7 @@ def _terms_mul(a, b):
     out = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
+            e = tuple(map(add, ea, eb))
             held = out.get(e)
             out[e] = ca * cb if held is None else held + ca * cb
     return {e: c for e, c in out.items() if c}
@@ -195,7 +197,7 @@ def as_weights(w):
 
 
 def weight_value(weights, exps):
-    return min(sum(wi * ei for wi, ei in zip(w, exps)) for w in weights)
+    return min(sum(map(mul, w, exps)) for w in weights)
 
 
 def poly_order(f, weights):
@@ -224,26 +226,40 @@ def wlayer(f, weights, d):
     )
 
 
+def _by_weight(terms, w):
+    """(weight, exponents, coefficient) of each nonzero term under the
+    weight vector w, by rising weight."""
+    return sorted(
+        ((sum(map(mul, w, e)), e, c) for e, c in terms.items() if c),
+        key=itemgetter(0),
+    )
+
+
+def _add_products(out, p, q, cut):
+    """Add every product of a term of p and a term of q within weight
+    `cut` to `out`; p and q list (weight, exponents, coefficient), q by
+    rising weight, so each inner loop stops once the room is used up."""
+    for w, e, c in p:
+        room = cut - w
+        for v, f, d in q:
+            if v > room:
+                break
+            key = tuple(map(add, e, f))
+            t = c * d
+            held = out.get(key)
+            out[key] = t if held is None else held + t
+    return out
+
+
 def mul_trunc(a, b, weights, bound):
     """Product with every term of weighted degree beyond `bound` dropped,
     under one weight vector."""
+    # a zero operand may live over no variables, where weights are ()
     if not a.terms or not b.terms:
         return SparsePoly.zero(a.vars)
     (w,) = as_weights(weights)
-    bw = sorted(
-        ((sum(wi * ei for wi, ei in zip(w, eb)), eb, cb) for eb, cb in b.terms.items()),
-        key=lambda item: item[0],
-    )
-    terms = {}
-    for ea, ca in a.terms.items():
-        room = bound - sum(wi * ei for wi, ei in zip(w, ea))
-        for wb, eb, cb in bw:
-            # b's terms are sorted by weight, so the rest pass it too
-            if wb > room:
-                break
-            e = tuple(x + y for x, y in zip(ea, eb))
-            acc = terms.get(e)
-            terms[e] = ca * cb if acc is None else acc + ca * cb
+    p = [(sum(map(mul, w, e)), e, c) for e, c in a.terms.items()]
+    terms = _add_products({}, p, _by_weight(b.terms, w), bound)
     return SparsePoly(a.vars, {e: c for e, c in terms.items() if c})
 
 
@@ -255,7 +271,8 @@ def substitute(f, images, truncation=None):
     the target list.  Every image must vanish at the origin, so that
     substitution is well defined on power series and respects truncation.
     With `truncation=(weight, bound)` all intermediate products drop
-    terms of weighted degree beyond the bound (see `mul_trunc`).
+    terms of weighted degree beyond the bound (see `mul_trunc`); an
+    image of one term takes its power whole, not one product per power.
     """
     images = dict(images)
     target_vars = None
@@ -279,15 +296,21 @@ def substitute(f, images, truncation=None):
             raise ValueError("substitution images must vanish at the origin")
         full.append(img)
 
-    def mul(a, b):
-        return a * b if truncation is None else mul_trunc(a, b, *truncation)
+    def product(a, b):
+        if truncation is None:
+            return a * b
+        if len(b.terms) <= 1:  # one term or none only shifts a's terms
+            return wjet(a * b, *truncation)
+        return mul_trunc(a, b, *truncation)
 
     power_cache = [[SparsePoly.constant(target_vars, 1)] for _ in full]
 
     def power(i, k):
-        cache = power_cache[i]
+        cache, img = power_cache[i], full[i].terms
+        if len(img) <= 1:  # (c*x^e)^k is one term, cut where it is used
+            return SparsePoly(target_vars, _terms_pow(img, k, cache[0].terms))
         while len(cache) <= k:
-            cache.append(mul(cache[-1], full[i]))
+            cache.append(product(cache[-1], full[i]))
         return cache[k]
 
     def pieces():
@@ -295,7 +318,7 @@ def substitute(f, images, truncation=None):
             piece = SparsePoly.constant(target_vars, c)
             for i, e in enumerate(exps):
                 if e:
-                    piece = mul(piece, power(i, e))
+                    piece = product(piece, power(i, e))
             yield piece.terms
 
     # every product is cut already, and a constant piece has weight 0

@@ -17,7 +17,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, count
 from math import comb, gcd
-from operator import itemgetter, mul
+from operator import mul
 
 from .catalog import double_core_family, moduli_positions
 from .errors import PipelineError
@@ -33,6 +33,8 @@ from .localalg import (
 )
 from .poly import (
     SparsePoly,
+    _add_products,
+    _by_weight,
     as_weights,
     diff,
     substitute,
@@ -604,31 +606,6 @@ def _steps_between(m, n, sx, sy):
     return t if hit and t >= 1 else None
 
 
-def _by_weight(terms, wx, wy):
-    """(weight, exponents, coefficient) of each nonzero term, by rising
-    weight."""
-    return sorted(
-        ((wx * i + wy * j, (i, j), c) for (i, j), c in terms.items() if c),
-        key=itemgetter(0),
-    )
-
-
-def _add_products(out, p, q, cut):
-    """Add every product of a term of p and a term of q within weight
-    `cut` to `out`; p and q list (weight, exponents, coefficient), q by
-    rising weight."""
-    for w, (i, j), c in p:
-        room = cut - w
-        for v, (k, l), d in q:
-            if v > room:
-                break
-            key = (i + k, j + l)
-            t = c * d
-            held = out.get(key)
-            out[key] = t if held is None else held + t
-    return out
-
-
 def shear(f, v1, v2, truncation):
     """Evaluate f(x - v1, y - v2), dropping every term beyond
     `truncation` = (weight, bound); f comes back unchanged when both
@@ -671,7 +648,7 @@ def shear(f, v1, v2, truncation):
         F = f.terms
         V1, V2 = ({e: -c for e, c in v.terms.items()} for v in (v1, v2))
         scale = n1 = d1 = n2 = d2 = 1
-    V1, V2 = _by_weight(V1, wx, wy), _by_weight(V2, wx, wy)
+    V1, V2 = _by_weight(V1, (wx, wy)), _by_weight(V2, (wx, wy))
     # the least rise in weight per power of each part
     s1 = V1[0][0] - wx if V1 else 0
     s2 = V2[0][0] - wy if V2 else 0
@@ -699,7 +676,7 @@ def shear(f, v1, v2, truncation):
     def power(a, b):
         if (a, b) not in powers:
             prev, part = (power(a, b - 1), V2) if b else (power(a - 1, 0), V1)
-            powers[a, b] = _by_weight(_add_products({}, prev, part, cut), wx, wy)
+            powers[a, b] = _by_weight(_add_products({}, prev, part, cut), (wx, wy))
         return powers[a, b]
 
     out = {}
@@ -707,12 +684,11 @@ def shear(f, v1, v2, truncation):
         m = n1**a * d1 ** (big_a - a) * n2**b * d2 ** (big_b - b)
         if m != 1:
             entries = {e: m * c for e, c in entries.items()}
-        _add_products(out, _by_weight(entries, wx, wy), power(a, b), cut)
+        _add_products(out, _by_weight(entries, (wx, wy)), power(a, b), cut)
     if rational:
         scale = scale / (d1**big_a * d2**big_b)
-        out = {e: c * scale for e, c in out.items() if c}
-        return SparsePoly(f.vars, out)
-    return SparsePoly(f.vars, {e: c for e, c in out.items() if c})
+    out = {e: c * scale if rational else c for e, c in out.items() if c}
+    return SparsePoly(f.vars, out)
 
 
 def _shift(f, v, c, exps, bound):
@@ -780,15 +756,14 @@ class _ColumnTable:
         self.level = level
         self.allowed = allowed
         tw, cut = truncation
-        ((wx, wy),) = as_weights(tw)
+        (self.tw,) = as_weights(tw)
         self.cut = cut
-        self.tw = (wx, wy)
         dx, dy, scale = _partial_terms(f0.terms)
         self.rational = scale is not None
         # each partial as (truncation weight, code, coefficient) by rising
         # weight
         self.partials = [
-            [(w, _CODES.code(e), c) for w, e, c in _by_weight(d, wx, wy)]
+            [(w, _CODES.code(e), c) for w, e, c in _by_weight(d, self.tw)]
             for d in (dx, dy)
         ]
         # a column formed from these partials is column_scale times the

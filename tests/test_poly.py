@@ -287,11 +287,19 @@ def test_weighted_jets():
 
 
 def test_mul_trunc():
-    f = P("x+y^2")
-    g = P("x^2+y")
-    full = f * g
-    cut = mul_trunc(f, g, (1, 1), 2)
-    assert cut == wjet(full, (1, 1), 2)
+    _, r2 = adjoin_root(QQ, 2, 2)
+    xyz = ("x", "y", "z")
+    cases = [
+        (P("x+y^2"), P("x^2+y"), (1, 1), 2),
+        # an empty operand over zero variables, where the weight is ()
+        (SparsePoly((), {}), SparsePoly.constant((), 3), (), 0),
+        (SparsePoly.constant((), 3), SparsePoly((), {}), (), 0),
+        (P("2+x-x^3", ("x",)), P("x^2+1/3*x^5", ("x",)), (2,), 9),
+        (P("x*y+z^2-3*x^3", xyz), P("1+y*z-x^2*z+1/2*y^3", xyz), (1, 2, 3), 8),
+        (P("x^2+y^3") * r2, P("x-y^2") + P("x*y") * (1 + r2), (2, 1), 5),
+    ]
+    for a, b, w, bound in cases:
+        assert mul_trunc(a, b, w, bound) == wjet(a * b, w, bound)
 
 
 def test_substitute_exact():

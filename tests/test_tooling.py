@@ -6,10 +6,11 @@ when a traced run starts, so renaming or deleting one of them breaks
 loads the tracer by path and checks every name, then runs it once on a
 germ whose reduction works over a radical tower.  Later tests count
 the standard basis completions and substitutions behind the splitting
-of a germ, the field divisions behind rational factoring, the layer
-walks behind a double core germ and the classifications of one harness
-run.  Three hold the seed-1 harness germs to their golden files, once
-as polynomials and once as printed strings, and the germs of the seed-1
+of a germ, the truncated products behind a power of a one-term image,
+the field divisions behind rational factoring, the layer walks behind
+a double core germ and the classifications of one harness run.  Three
+hold the seed-1 harness germs to their golden files, once as
+polynomials and once as printed strings, and the germs of the seed-1
 benchmark corpora to theirs; the last runs the Tier-1 slice of the
 index sweep.
 """
@@ -26,7 +27,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from arnoldnf import cli, localalg, newton, transform
+from arnoldnf import cli, localalg, newton, poly, transform
 from arnoldnf.catalog import instantiate
 from arnoldnf.classify import classify
 from arnoldnf.poly import parse_poly, poly_order, substitute
@@ -269,6 +270,22 @@ def test_identity_linear_change_runs_no_substitution(monkeypatch):
         parse_poly("x^2*z+y^3", xyz), ((0, 1, 1), (1, 0, half), (1, -1, 0)), 3
     )
     assert changed == parse_poly("(y+z)^2*(x-y)+(x+1/2*z)^3", xyz)
+    assert calls == []
+
+
+def test_one_term_image_power_runs_no_truncated_product(monkeypatch):
+    # the splitting sends the kernel variable to itself, so x^k needs no
+    # chain of k products: a corank one germ ends at once whatever k
+    calls = []
+    product = poly.mul_trunc
+
+    def counting_mul_trunc(*args, **kwargs):
+        calls.append(1)
+        return product(*args, **kwargs)
+
+    monkeypatch.setattr(poly, "mul_trunc", counting_mul_trunc)
+    split = split_germ(parse_poly("x^1000000+y^2", ("x", "y")))
+    assert (split.corank, split.mu) == (1, 999999)
     assert calls == []
 
 
