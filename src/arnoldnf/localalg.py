@@ -61,12 +61,6 @@ class LocalOrder:
     def __init__(self, weight=(1, 1)):
         self.weight = tuple(weight)
 
-    def leading(self, d):
-        """Leading (exponent, coefficient) of a dict keyed by exponents."""
-        wx, wy = self.weight
-        e = max(d, key=lambda e: (-(wx * e[0] + wy * e[1]), e[0]))
-        return e, d[e]
-
     def code(self, exps):
         return (self.weight[0] * exps[0] + self.weight[1] * exps[1]) * _BASE - exps[0]
 

@@ -50,7 +50,7 @@ def uni_diff(f):
 
 
 def uni_eval(f, value):
-    acc = _ZERO
+    acc = 0
     for c in reversed(f):
         acc = acc * value + c
     return acc
@@ -186,13 +186,6 @@ def _yun(f, gcd, divide):
 # -- rational root search --------------------------------------------
 
 
-def _sign_at(q, y):
-    acc = 0
-    for c in reversed(q):
-        acc = acc * y + c
-    return (acc > 0) - (acc < 0)
-
-
 def _root_floors(q):
     """Integers k such that every integer root of the integer polynomial
     q (ascending coefficients), and every real root where q changes
@@ -209,14 +202,14 @@ def _root_floors(q):
     for k in _root_floors([i * c for i, c in enumerate(q)][1:]):
         marks.update((k, k + 1))
     marks = sorted(m for m in marks if abs(m) <= bound)
-    signs = [_sign_at(q, m) for m in marks]
+    signs = [(v > 0) - (v < 0) for v in (uni_eval(q, m) for m in marks)]
     out = {m for m, s in zip(marks, signs) if not s}
     for lo, hi, s, t in zip(marks, marks[1:], signs, signs[1:]):
         if hi - lo > 1 and s * t >= 0:
             continue
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            lo, hi = (mid, hi) if _sign_at(q, mid) == s else (lo, mid)
+            lo, hi = (mid, hi) if uni_eval(q, mid) * s > 0 else (lo, mid)
         out.add(lo)
     return out
 
@@ -235,7 +228,7 @@ def rational_roots(coeffs):
     ints = uni_integers(coeffs)[0]
     n, lead = len(ints) - 1, ints[-1]
     q = [c * lead ** (n - 1 - k) for k, c in enumerate(ints[:-1])] + [1]
-    ys = {y for k in _root_floors(q) for y in (k, k + 1) if not _sign_at(q, y)}
+    ys = {y for k in _root_floors(q) for y in (k, k + 1) if not uni_eval(q, y)}
     return sorted(Fraction(y, lead) for y in ys)
 
 

@@ -3,12 +3,12 @@
 `split_germ` restricts a germ to the critical graph of its Morse
 variables (the splitting lemma), leaving a residual in at most two
 variables.  Most other steps are substitutions that keep the germ right
-equivalent to the input: linear changes straightening a lowest jet and
-rescalings that set marked coefficients to one, both run as elementary
-shears and scalings (`apply_linear`), and Taylor shifts generated by
-the Jacobian that empty a graded layer (`shear`).  `even_quartic_form`
-instead reads the X_9 normal form off the quartic jet, to which such a
-germ is right equivalent.
+equivalent to the input: linear changes that diagonalize a quadratic
+part, straighten a lowest jet or set marked coefficients to one, all
+run as elementary shears and scalings on one kernel (`_linear_pass`),
+and Taylor shifts generated by the Jacobian that empty a graded layer
+(`shear`).  `even_quartic_form` instead reads the X_9 normal form off
+the quartic jet, to which such a germ is right equivalent.
 """
 
 from __future__ import annotations
@@ -80,74 +80,56 @@ class SplitResult:
         self.determinacy = determinacy
 
 
-def _quadratic_matrix(f):
+def _square_up(f):
+    """Lagrange's reduction of f's quadratic part, run on f itself:
+    (g, diagonal, rank), g = f after a linear change whose quadratic part
+    is sum d_i * x_i^2 over its first `rank` variables.
+
+    For each k in turn, a missing x_k^2 takes a later square by an
+    exponent shuffle; with only cross terms x_i*x_j (i < j) left,
+    x_j -> x_j + x_i makes x_i^2 and a shuffle moves i to k.  Each cross
+    term c*x_k*x_j then goes by x_k -> x_k - c/(2*d_k)*x_j.  Every shear
+    is one `_linear_pass` on the coefficients as they are; a germ
+    without cross terms takes none and comes back as f itself.
+    """
     n = len(f.vars)
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for exps, c in f.terms.items():
-        if sum(exps) != 2:
-            continue
-        hot = [i for i, e in enumerate(exps) if e]
-        if len(hot) == 1:
-            m[hot[0]][hot[0]] = c
-        else:
-            i, j = hot
-            half = c * Fraction(1, 2)
-            m[i][j] = half
-            m[j][i] = half
-    return m
+    terms = f.terms
 
+    def at(i, j):
+        e = [0] * n
+        e[i] += 1
+        e[j] += 1
+        return terms.get(tuple(e))
 
-def _diagonalize(matrix):
-    """Congruence diagonalization; returns (change, diagonal, rank).
-    `change[i][j]` is the coefficient of new variable j in the image of
-    old variable i; nonzero diagonal entries occupy a prefix."""
-    n = len(matrix)
-    a = [row[:] for row in matrix]
-    p = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    def move(i, j, t):
+        nonlocal terms
+        terms = {e: c for e, c in _linear_pass(terms, i, j, t, 1)[0].items() if c}
 
-    def col_axpy(dst, src, t):
-        for i in range(n):
-            a[i][dst] = a[i][dst] - t * a[i][src]
-        for i in range(n):
-            a[dst][i] = a[dst][i] - t * a[src][i]
-        for i in range(n):
-            p[i][dst] = p[i][dst] - t * p[i][src]
-
-    def col_swap(i, j):
-        for r in range(n):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        a[i], a[j] = a[j], a[i]
-        for r in range(n):
-            p[r][i], p[r][j] = p[r][j], p[r][i]
-
-    rank = 0
+    diagonal = []
     for k in range(n):
-        if not a[k][k]:
-            pivot = next((j for j in range(k + 1, n) if a[j][j]), None)
-            if pivot is not None:
-                col_swap(k, pivot)
-            else:
+        if not at(k, k):
+            pivot = next((j for j in range(k + 1, n) if at(j, j)), None)
+            if pivot is None:
                 pair = next(
-                    (
-                        (i, j)
-                        for i in range(k, n)
-                        for j in range(i + 1, n)
-                        if a[i][j]
-                    ),
+                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if at(i, j)),
                     None,
                 )
                 if pair is None:
                     break
-                i, j = pair
-                col_axpy(i, j, -1)
-                if i != k:
-                    col_swap(k, i)
+                pivot, j = pair
+                move(j, pivot, 1)
+            if pivot != k:
+                perm = list(range(n))
+                perm[k], perm[pivot] = pivot, k
+                terms = {tuple(e[p] for p in perm): c for e, c in terms.items()}
+        d = at(k, k)
         for j in range(k + 1, n):
-            if a[k][j]:
-                col_axpy(j, k, a[k][j] / a[k][k])
-        rank += 1
-    diagonal = [a[i][i] for i in range(n)]
-    return p, diagonal, rank
+            c = at(k, j)
+            if c:
+                move(k, j, -c / (2 * d))
+        diagonal.append(d)
+    g = f if terms is f.terms else SparsePoly(f.vars, terms)
+    return g, diagonal, len(diagonal)
 
 
 def _morse_split(g, diagonal, rank, names, bound, phi=None):
@@ -168,7 +150,7 @@ def _morse_split(g, diagonal, rank, names, bound, phi=None):
     vars = g.vars
     images = {v: SparsePoly.variable(names, w) for v, w in zip(vars[rank:], names)}
     grads = [diff(g, i) for i in range(rank)]
-    steps = [1 / (2 * d) for d in diagonal[:rank]]
+    steps = [1 / (2 * d) for d in diagonal]
     if phi is None:
         phi = [SparsePoly.zero(names)] * rank
     trunc = ((1,) * len(names), bound // 2)
@@ -185,21 +167,22 @@ def split_germ(f):
     """Split a germ into a sum of squares plus a residual in the kernel
     variables of its quadratic part.
 
-    The residual comes back over canonical variables ("x",) or
-    ("x", "y") depending on the corank; for corank above two no
-    residual is produced, and corank zero is A_1 without splitting.
-    The residual is computed exactly through a truncation bound, and
-    the first bound that holds its determinacy jet is accepted: a germ
-    determined by its k-jet, k <= bound, is right equivalent to the true
-    residual, which shares that jet.  For corank two the Milnor count
-    capped at the bound certifies only staircase tops t <= bound - 2,
-    so it runs once per isolated germ.  No certificate below a Bezout
-    style cutoff means the singularity is not isolated.  A germ without
-    quadratic part is its own residual, exact at every bound, so one
-    Milnor count up to its Bezout cap decides it.
+    The quadratic part is diagonalized on f itself, by elementary shears
+    on `_linear_pass` (`_square_up`).  The residual comes back over
+    canonical variables ("x",) or ("x", "y") depending on the corank;
+    for corank above two no residual is produced, and corank zero is A_1
+    without splitting.  The residual is computed exactly through a
+    truncation bound, and the first bound that holds its determinacy jet
+    is accepted: a germ determined by its k-jet, k <= bound, is right
+    equivalent to the true residual, which shares that jet.  For corank
+    two the Milnor count capped at the bound certifies only staircase
+    tops t <= bound - 2, so it runs once per isolated germ.  No
+    certificate below a Bezout style cutoff means the singularity is not
+    isolated.  A germ without quadratic part is its own residual, exact
+    at every bound, so one Milnor count up to its Bezout cap decides it.
     """
     n = len(f.vars)
-    change, diagonal, rank = _diagonalize(_quadratic_matrix(f))
+    g, diagonal, rank = _square_up(f)
     corank = n - rank
     if corank > 2:
         return SplitResult(corank, rank, None, None)
@@ -210,8 +193,6 @@ def split_germ(f):
         residual = SparsePoly(names, dict(f.terms))
         milnor = _residual_milnor(residual, corank, None) or (None, None)
         return SplitResult(corank, rank, residual, *milnor)
-    # a linear change never raises the degree: apply it once, untruncated
-    g = apply_linear(f, change)
     degree = max(f.total_degree(), 2)
     cutoff = (degree - 1) ** n + 3
     bound = max(2 * degree, 10)

@@ -105,8 +105,8 @@ def test_split_corank_two_residual_exact():
 
 
 def test_split_quadratic_part_without_diagonal():
-    # x*y has no square to pivot on, so the diagonalization first adds
-    # one column to another: x*y = (x + y)^2 / 4 - (x - y)^2 / 4
+    # x*y has no square to pivot on, so the reduction first shears
+    # y -> y + x: x*y = (x + y)^2 / 4 - (x - y)^2 / 4
     f = P("x*y+z^3", ("x", "y", "z"))
     res = split_germ(f)
     assert (res.corank, res.rank, res.mu) == (1, 2, 2)
@@ -124,25 +124,136 @@ def test_split_quadratic_part_without_diagonal():
     ],
 )
 def test_hyperbolic_quadratic_parts(text, name):
-    # every diagonal entry of the first pivot's block is zero, so the
-    # diagonalization adds one column to another, and for x*y+z*w+v^5
-    # (variables v, w, x, y, z) it then swaps that column into place
+    # the first pivot's block has no square, so the reduction first
+    # shears x_j -> x_j + x_i, and for x*y+z*w+v^5 (variables v, w, x,
+    # y, z) it then swaps x_i into place
     f = parse_poly(text)
-    m = transform_module._quadratic_matrix(f)
-    change, diagonal, rank = transform_module._diagonalize(m)
-    n = len(m)
-    congruent = [
-        [
-            sum(change[a][i] * m[a][b] * change[b][j] for a in range(n) for b in range(n))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    assert congruent == [[diagonal[i] * (i == j) for j in range(n)] for i in range(n)]
-    assert all(diagonal[:rank]) and not any(diagonal[rank:])
+    g, diagonal, rank = transform_module._square_up(f)
+    n = len(f.vars)
+    squares = {tuple(2 * (i == j) for j in range(n)): d for i, d in enumerate(diagonal)}
+    assert {e: c for e, c in g.terms.items() if sum(e) == 2} == squares
+    assert len(diagonal) == rank and all(diagonal)
     r = classify(f)
     assert r.name == name
     assert rank == n - r.corank
+
+
+def _old_square_up(f):
+    # the split's earlier route, kept as a reference: a congruence
+    # reduction of f's Hessian matrix over Fractions, whose column
+    # operations `apply_linear` then replays on f
+    n = len(f.vars)
+    a = [[Fraction(0)] * n for _ in range(n)]
+    for exps, c in f.terms.items():
+        if sum(exps) == 2:
+            i, j = [k for k, e in enumerate(exps) for _ in range(e)]
+            a[i][j] = a[j][i] = c if i == j else c * Fraction(1, 2)
+    p = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+    def col_axpy(dst, src, t):
+        for m in (a, p):
+            for row in m:
+                row[dst] = row[dst] - t * row[src]
+        a[dst] = [x - t * y for x, y in zip(a[dst], a[src])]
+
+    def col_swap(i, j):
+        for m in (a, p):
+            for row in m:
+                row[i], row[j] = row[j], row[i]
+        a[i], a[j] = a[j], a[i]
+
+    rank = 0
+    for k in range(n):
+        if not a[k][k]:
+            pivot = next((j for j in range(k + 1, n) if a[j][j]), None)
+            if pivot is not None:
+                col_swap(k, pivot)
+            else:
+                pairs = [(i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]]
+                if not pairs:
+                    break
+                i, j = pairs[0]
+                col_axpy(i, j, -1)
+                if i != k:
+                    col_swap(k, i)
+        for j in range(k + 1, n):
+            if a[k][j]:
+                col_axpy(j, k, a[k][j] / a[k][k])
+        rank += 1
+    return apply_linear(f, p), [a[i][i] for i in range(rank)], rank
+
+
+def _quadratic_germs(seed, count):
+    # two to five variables; every third quadratic part has cross terms
+    # only, which forces the pair step, and every other one sums squares
+    # of random linear forms, which may leave a kernel; one germ in four
+    # takes a coefficient 1 + sqrt(2) or sqrt(2)/2
+    rng = random.Random(seed)
+    coeffs = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+    for index in range(count):
+        n = rng.randint(2, 5)
+        vars = ("a", "b", "c", "d", "e")[:n]
+        unit = lambda i: tuple(int(k == i) for k in range(n))
+        pairs = list(itertools.combinations(range(n), 2))
+        if index % 3 == 0:
+            cross = rng.sample(pairs, rng.randint(1, len(pairs)))
+            q = {tuple(map(sum, zip(unit(i), unit(j)))): rng.choice(coeffs)
+                 for i, j in cross}
+            f = SparsePoly.build(vars, q)
+        else:
+            f = SparsePoly.zero(vars)
+            for _ in range(rng.randint(1, n)):
+                line = SparsePoly.build(
+                    vars, {unit(i): rng.choice(coeffs + [0, 0]) for i in range(n)}
+                )
+                f = f + line * line * rng.choice(coeffs)
+        monos = [e for e in itertools.product(range(4), repeat=n) if 3 <= sum(e) <= 4]
+        tail = {e: rng.choice(coeffs) for e in rng.sample(monos, rng.randint(1, 4))}
+        f = f + SparsePoly.build(vars, tail)
+        if index % 4 == 1:
+            e = rng.choice(sorted(f.terms))
+            f.terms[e] = rng.choice([1 + _SQRT2, _SQRT2 / 2])
+        yield f
+
+
+def _hessian_rank(f):
+    # sympy's rank of the Hessian at 0, on a sympy copy of the germ, whose
+    # one irrational is sqrt(2)
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(f.vars)
+
+    def scalar(c):
+        if type(c) is Fraction:
+            return sympy.Rational(c.numerator, c.denominator)
+        return sum(scalar(q) * sympy.sqrt(2) ** e[0] for e, q in c.iter_terms())
+
+    expr = sum(
+        scalar(c) * sympy.prod([x**k for x, k in zip(xs, e)]) for e, c in f.terms.items()
+    )
+    p = sympy.Poly(expr, *xs)
+    n = len(xs)
+    at_zero = lambda i, j: p.diff(xs[i]).diff(xs[j]).coeff_monomial(1)
+    return sympy.Matrix(n, n, at_zero).rank(simplify=True)
+
+
+def test_square_up_matches_the_matrix_route_and_sympy():
+    germs = list(_quadratic_germs(29, 240))
+    forced = sum(
+        1 for f in germs if not any(2 in e for e in f.terms if sum(e) == 2)
+    )
+    assert forced >= len(germs) // 3
+    assert sum(1 for f in germs if tower_of(*f.terms.values()) is not QQ) >= 40
+    seen = set()
+    for f in germs:
+        g, diagonal, rank = transform_module._square_up(f)
+        want, want_diagonal, want_rank = _old_square_up(f)
+        assert (rank, diagonal) == (want_rank, want_diagonal), f
+        assert g.terms == want.terms, f
+        assert rank == _hessian_rank(f), f
+        seen.add((len(f.vars), rank))
+    # every rank from 0 to 5 occurs, and so does a corank above two
+    assert {rank for _, rank in seen} == set(range(6))
+    assert max(n - rank for n, rank in seen) > 2
 
 
 def test_split_five_variables():
@@ -220,9 +331,8 @@ def _complete_squares(g, diagonal, rank, bound):
 
 
 def _square_completion_residual(f, bound):
-    quadratic = transform_module._quadratic_matrix(f)
-    change, diagonal, rank = transform_module._diagonalize(quadratic)
-    g = _complete_squares(apply_linear(f, change, bound), diagonal, rank, bound)
+    g, diagonal, rank = transform_module._square_up(f)
+    g = _complete_squares(wjet(g, (1,) * len(f.vars), bound), diagonal, rank, bound)
     names = ("x", "y")[: len(f.vars) - rank]
     return SparsePoly(
         names, {e[rank:]: c for e, c in g.terms.items() if not any(e[:rank])}
@@ -232,9 +342,7 @@ def _square_completion_residual(f, bound):
 def _graph_residuals(f, bounds):
     # the residual at each bound, the iteration at each bound seeded by
     # the graph of the one before, as split_germ runs it
-    quadratic = transform_module._quadratic_matrix(f)
-    change, diagonal, rank = transform_module._diagonalize(quadratic)
-    g = apply_linear(f, change)
+    g, diagonal, rank = transform_module._square_up(f)
     names = ("x", "y")[: len(f.vars) - rank]
     phi = None
     for bound in bounds:
