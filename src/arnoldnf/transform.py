@@ -81,55 +81,64 @@ class SplitResult:
 
 
 def _square_up(f):
-    """Lagrange's reduction of f's quadratic part, run on f itself:
-    (g, diagonal, rank), g = f after a linear change whose quadratic part
-    is sum d_i * x_i^2 over its first `rank` variables.
+    """Lagrange's reduction of f's quadratic part: (moves, diagonal).
 
-    For each k in turn, a missing x_k^2 takes a later square by an
-    exponent shuffle; with only cross terms x_i*x_j (i < j) left,
-    x_j -> x_j + x_i makes x_i^2 and a shuffle moves i to k.  Each cross
-    term c*x_k*x_j then goes by x_k -> x_k - c/(2*d_k)*x_j.  Every shear
-    is one `_linear_pass` on the coefficients as they are; a germ
-    without cross terms takes none and comes back as f itself.
+    Run through `_move` in order, the moves leave f with quadratic part
+    sum d_i * x_i^2 over its first len(diagonal) variables.  A linear
+    change keeps every degree, so they are read off the degree-2 terms
+    alone.  For each k in turn, a missing x_k^2 takes a later square by
+    a swap; with only cross terms x_i*x_j (i < j) left, x_j -> x_j + x_i
+    makes x_i^2 and a swap moves i to k.  Each cross term c*x_k*x_j then
+    goes by x_k -> x_k - c/(2*d_k)*x_j.
     """
     n = len(f.vars)
-    terms = f.terms
+    q = SparsePoly(f.vars, {e: c for e, c in f.terms.items() if sum(e) == 2})
+    moves, diagonal = [], []
 
     def at(i, j):
         e = [0] * n
         e[i] += 1
         e[j] += 1
-        return terms.get(tuple(e))
+        return q.terms.get(tuple(e))
 
-    def move(i, j, t):
-        nonlocal terms
-        terms = {e: c for e, c in _linear_pass(terms, i, j, t, 1)[0].items() if c}
+    def move(*m):
+        nonlocal q
+        moves.append(m)
+        q = _move(q, *m)
 
-    diagonal = []
     for k in range(n):
         if not at(k, k):
             pivot = next((j for j in range(k + 1, n) if at(j, j)), None)
             if pivot is None:
-                pair = next(
-                    ((i, j) for i in range(k, n) for j in range(i + 1, n) if at(i, j)),
-                    None,
-                )
-                if pair is None:
+                pairs = [
+                    (i, j) for i in range(k, n) for j in range(i + 1, n) if at(i, j)
+                ]
+                if not pairs:
                     break
-                pivot, j = pair
+                pivot, j = pairs[0]
                 move(j, pivot, 1)
             if pivot != k:
-                perm = list(range(n))
-                perm[k], perm[pivot] = pivot, k
-                terms = {tuple(e[p] for p in perm): c for e, c in terms.items()}
+                move(k, pivot, None)
         d = at(k, k)
         for j in range(k + 1, n):
             c = at(k, j)
             if c:
                 move(k, j, -c / (2 * d))
         diagonal.append(d)
-    g = f if terms is f.terms else SparsePoly(f.vars, terms)
-    return g, diagonal, len(diagonal)
+    return moves, diagonal
+
+
+def _move(f, i, j, t):
+    """f after x_i -> x_i + t*x_j, one `_linear_pass` on the coefficients
+    as they are, or after swapping x_i and x_j, i < j, when t is None."""
+    if t is None:
+        terms = {
+            e[:i] + e[j : j + 1] + e[i + 1 : j] + e[i : i + 1] + e[j + 1 :]: c
+            for e, c in f.terms.items()
+        }
+    else:
+        terms = {e: c for e, c in _linear_pass(f.terms, i, j, t, 1)[0].items() if c}
+    return SparsePoly(f.vars, terms)
 
 
 def _morse_split(g, diagonal, rank, names, bound, phi=None):
@@ -167,8 +176,10 @@ def split_germ(f):
     """Split a germ into a sum of squares plus a residual in the kernel
     variables of its quadratic part.
 
-    The quadratic part is diagonalized on f itself, by elementary shears
-    on `_linear_pass` (`_square_up`).  The residual comes back over
+    The quadratic part is diagonalized by elementary shears on
+    `_linear_pass`, read off its quadratic terms alone (`_square_up`);
+    f takes them only when a residual of corank one or two is left to
+    split off.  The residual comes back over
     canonical variables ("x",) or ("x", "y") depending on the corank;
     for corank above two no residual is produced, and corank zero is A_1
     without splitting.  The residual is computed exactly through a
@@ -182,7 +193,8 @@ def split_germ(f):
     at every bound, so one Milnor count up to its Bezout cap decides it.
     """
     n = len(f.vars)
-    g, diagonal, rank = _square_up(f)
+    moves, diagonal = _square_up(f)
+    rank = len(diagonal)
     corank = n - rank
     if corank > 2:
         return SplitResult(corank, rank, None, None)
@@ -193,6 +205,9 @@ def split_germ(f):
         residual = SparsePoly(names, dict(f.terms))
         milnor = _residual_milnor(residual, corank, None) or (None, None)
         return SplitResult(corank, rank, residual, *milnor)
+    g = f
+    for move in moves:
+        g = _move(g, *move)
     degree = max(f.total_degree(), 2)
     cutoff = (degree - 1) ** n + 3
     bound = max(2 * degree, 10)

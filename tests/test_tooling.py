@@ -289,6 +289,26 @@ def test_one_term_image_power_runs_no_truncated_product(monkeypatch):
     assert calls == []
 
 
+def test_split_without_residual_changes_only_the_quadratic_part(monkeypatch):
+    # corank zero and corank above two end before the split's linear
+    # change reaches f, so a high term is never expanded: every shear
+    # runs on quadratic terms alone
+    tops = []
+    linear_pass = transform._linear_pass
+
+    def recording_linear_pass(terms, *args):
+        tops.append(max(sum(e) for e in terms))
+        return linear_pass(terms, *args)
+
+    monkeypatch.setattr(transform, "_linear_pass", recording_linear_pass)
+    split = split_germ(parse_poly("x*y+x^1000000", ("x", "y")))
+    assert (split.corank, split.rank, split.mu) == (0, 2, 1)
+    names = ("u", "v", "w", "x", "y")
+    split = split_germ(parse_poly("x*y+u^3+v^3+w^3+x^1000000", names))
+    assert (split.corank, split.rank, split.residual) == (3, 2, None)
+    assert tops and max(tops) == 2
+
+
 def test_rational_factoring_runs_no_field_division(monkeypatch):
     # every lowest jet and face polynomial of the seed-1 harness germs is
     # rational, and a rational list factors on integers: the field loop

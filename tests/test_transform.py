@@ -113,6 +113,14 @@ def test_split_quadratic_part_without_diagonal():
     assert classify(f).name == "A_2"
 
 
+def _square_up(f):
+    # f after the split's linear change, its diagonal and its rank
+    moves, diagonal = transform_module._square_up(f)
+    for move in moves:
+        f = transform_module._move(f, *move)
+    return f, diagonal, len(diagonal)
+
+
 @pytest.mark.parametrize(
     "text, name",
     [
@@ -128,7 +136,7 @@ def test_hyperbolic_quadratic_parts(text, name):
     # shears x_j -> x_j + x_i, and for x*y+z*w+v^5 (variables v, w, x,
     # y, z) it then swaps x_i into place
     f = parse_poly(text)
-    g, diagonal, rank = transform_module._square_up(f)
+    g, diagonal, rank = _square_up(f)
     n = len(f.vars)
     squares = {tuple(2 * (i == j) for j in range(n)): d for i, d in enumerate(diagonal)}
     assert {e: c for e, c in g.terms.items() if sum(e) == 2} == squares
@@ -245,7 +253,7 @@ def test_square_up_matches_the_matrix_route_and_sympy():
     assert sum(1 for f in germs if tower_of(*f.terms.values()) is not QQ) >= 40
     seen = set()
     for f in germs:
-        g, diagonal, rank = transform_module._square_up(f)
+        g, diagonal, rank = _square_up(f)
         want, want_diagonal, want_rank = _old_square_up(f)
         assert (rank, diagonal) == (want_rank, want_diagonal), f
         assert g.terms == want.terms, f
@@ -331,7 +339,7 @@ def _complete_squares(g, diagonal, rank, bound):
 
 
 def _square_completion_residual(f, bound):
-    g, diagonal, rank = transform_module._square_up(f)
+    g, diagonal, rank = _square_up(f)
     g = _complete_squares(wjet(g, (1,) * len(f.vars), bound), diagonal, rank, bound)
     names = ("x", "y")[: len(f.vars) - rank]
     return SparsePoly(
@@ -342,7 +350,7 @@ def _square_completion_residual(f, bound):
 def _graph_residuals(f, bounds):
     # the residual at each bound, the iteration at each bound seeded by
     # the graph of the one before, as split_germ runs it
-    g, diagonal, rank = transform_module._square_up(f)
+    g, diagonal, rank = _square_up(f)
     names = ("x", "y")[: len(f.vars) - rank]
     phi = None
     for bound in bounds:
